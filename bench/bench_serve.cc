@@ -273,7 +273,7 @@ void BenchServeScaleInt8(bench::BenchRecorder& recorder) {
   llm::TinyLm int8_lm(config, kSeed);
   int8_lm.SetTraining(false);
   int8_lm.SetRequiresGrad(false);
-  int8_lm.QuantizeForInference(/*quantize_embedding_table=*/true);
+  int8_lm.QuantizeForInference();
 
   util::Rng rng(131);
   std::vector<std::vector<llm::PromptPiece>> prompts;

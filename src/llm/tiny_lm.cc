@@ -352,108 +352,83 @@ void TinyLmBlock::AttendSpans(const float* q, const float* k,
       });
 }
 
+void TinyLmBlock::Dense(DenseInput& in, int64_t total,
+                        const nn::Linear& linear,
+                        const nn::LoraLinear* adapter,
+                        nn::QuantTensor QuantWeights::*weights, float* out,
+                        util::ScopedArena& arena) const {
+  if (!quant_) {
+    linear.ForwardInference(in.rows, total, out);
+    if (adapter != nullptr) {
+      adapter->AddDeltaInference(in.rows, total, out, arena);
+    }
+    return;
+  }
+  // The adapter is already merged into the int8 weights.
+  const nn::QuantTensor& w = (*quant_).*weights;
+  if (in.codes == nullptr) {
+    in.codes = AllocInt8(arena, total * w.packed_depth());
+    in.scales = arena.Alloc(total);
+    nn::QuantizeActivationRows(in.rows, total, w.depth(), in.codes,
+                               in.scales);
+  }
+  nn::Int8Gemm(in.codes, in.scales, w, BiasPtr(linear), out, total,
+               /*accumulate=*/false);
+}
+
 void TinyLmBlock::ForwardBatchInference(const float* x, int64_t total,
                                         const std::vector<SequenceSpan>& spans,
                                         float* out, util::ScopedArena& arena,
                                         const BlockPrefixKv* prefix_kv,
                                         float* capture_k,
                                         float* capture_v) const {
+  // One stage order for the fp32 and int8 weights: only the dense
+  // projections (Dense) and the GELU differ. LayerNorm and attention stay
+  // fp32 on both — quantizing softmax inputs would cost accuracy for no
+  // footprint win — and the int8 path's GELU is the vectorized Padé
+  // approximation: at serve-scale widths libm tanh would otherwise rival
+  // the projections themselves.
+  const int64_t d = num_heads_ * head_dim_;
+  const int64_t f = ffn_in_.out_features();
+  float* normed = arena.Alloc(total * d);
+  ln_attention_.ForwardInference(x, total, normed);
+  DenseInput normed_in{normed};
+  float* q = arena.Alloc(total * d);
+  Dense(normed_in, total, wq_, lora_wq_.get(), &QuantWeights::wq, q, arena);
+  float* k = arena.Alloc(total * d);
+  Dense(normed_in, total, wk_, nullptr, &QuantWeights::wk, k, arena);
+  float* vproj = arena.Alloc(total * d);
+  Dense(normed_in, total, wv_, lora_wv_.get(), &QuantWeights::wv, vproj,
+        arena);
+  // Captured K/V are the projections attention reads — on the int8 path the
+  // GEMM's fp32 outputs, exactly what a stacked forward would feed
+  // attention, since activation quantization is per-row.
+  if (capture_k != nullptr) std::copy(k, k + total * d, capture_k);
+  if (capture_v != nullptr) std::copy(vproj, vproj + total * d, capture_v);
+
+  float* attended = arena.Alloc(total * d);
+  AttendSpans(q, k, vproj, spans, attended, arena, prefix_kv);
+
+  DenseInput attended_in{attended};
+  float* att_proj = arena.Alloc(total * d);
+  Dense(attended_in, total, wo_, nullptr, &QuantWeights::wo, att_proj, arena);
+  float* residual = arena.Alloc(total * d);
+  const int64_t cells = total * d;
+  for (int64_t i = 0; i < cells; ++i) residual[i] = x[i] + att_proj[i];
+  float* ff_in = arena.Alloc(total * d);
+  ln_ffn_.ForwardInference(residual, total, ff_in);
+  DenseInput ff_in_rows{ff_in};
+  float* hidden = arena.Alloc(total * f);
+  Dense(ff_in_rows, total, ffn_in_, lora_ffn_in_.get(),
+        &QuantWeights::ffn_in, hidden, arena);
   if (quant_) {
-    ForwardBatchInferenceQuant(x, total, spans, out, arena, prefix_kv,
-                               capture_k, capture_v);
-    return;
+    GeluInPlaceApprox(hidden, total * f);
+  } else {
+    GeluInPlace(hidden, total * f);
   }
-  const int64_t d = num_heads_ * head_dim_;
-  float* normed = arena.Alloc(total * d);
-  ln_attention_.ForwardInference(x, total, normed);
-  float* q = arena.Alloc(total * d);
-  wq_.ForwardInference(normed, total, q);
-  if (lora_wq_) lora_wq_->AddDeltaInference(normed, total, q, arena);
-  float* k = arena.Alloc(total * d);
-  wk_.ForwardInference(normed, total, k);
-  float* vproj = arena.Alloc(total * d);
-  wv_.ForwardInference(normed, total, vproj);
-  if (lora_wv_) lora_wv_->AddDeltaInference(normed, total, vproj, arena);
-  if (capture_k != nullptr) std::copy(k, k + total * d, capture_k);
-  if (capture_v != nullptr) std::copy(vproj, vproj + total * d, capture_v);
-
-  float* attended = arena.Alloc(total * d);
-  AttendSpans(q, k, vproj, spans, attended, arena, prefix_kv);
-
-  float* att_proj = arena.Alloc(total * d);
-  wo_.ForwardInference(attended, total, att_proj);
-  float* residual = arena.Alloc(total * d);
-  const int64_t cells = total * d;
-  for (int64_t i = 0; i < cells; ++i) residual[i] = x[i] + att_proj[i];
-  float* ff_in = arena.Alloc(total * d);
-  ln_ffn_.ForwardInference(residual, total, ff_in);
-  const int64_t f = ffn_in_.out_features();
-  float* hidden = arena.Alloc(total * f);
-  ffn_in_.ForwardInference(ff_in, total, hidden);
-  if (lora_ffn_in_) {
-    lora_ffn_in_->AddDeltaInference(ff_in, total, hidden, arena);
-  }
-  GeluInPlace(hidden, total * f);
-  ffn_out_.ForwardInference(hidden, total, out);
-  for (int64_t i = 0; i < cells; ++i) out[i] = residual[i] + out[i];
-}
-
-void TinyLmBlock::ForwardBatchInferenceQuant(
-    const float* x, int64_t total, const std::vector<SequenceSpan>& spans,
-    float* out, util::ScopedArena& arena, const BlockPrefixKv* prefix_kv,
-    float* capture_k, float* capture_v) const {
-  // Same stage order as the fp32 path; every dense projection runs as an
-  // int8 GEMM against the merged+quantized weights, with the activations
-  // re-quantized per row at each projection input. LayerNorm, attention
-  // (AttendSpans) and GELU stay fp32 — quantizing softmax inputs would cost
-  // accuracy for no footprint win — but GELU runs the vectorized Padé
-  // approximation (GeluInPlaceApprox above): at serve-scale widths libm
-  // tanh would otherwise rival the projections themselves.
-  const int64_t d = num_heads_ * head_dim_;
-  const int64_t f = ffn_in_.out_features();
-  float* normed = arena.Alloc(total * d);
-  ln_attention_.ForwardInference(x, total, normed);
-  const int64_t dp = quant_->wq.packed_depth();
-  int8_t* act_q = AllocInt8(arena, total * dp);
-  float* act_s = arena.Alloc(total);
-  // One quantization of the normed input serves wq, wk and wv.
-  nn::QuantizeActivationRows(normed, total, d, act_q, act_s);
-  float* q = arena.Alloc(total * d);
-  nn::Int8Gemm(act_q, act_s, quant_->wq, BiasPtr(wq_), q, total,
-               /*accumulate=*/false);
-  float* k = arena.Alloc(total * d);
-  nn::Int8Gemm(act_q, act_s, quant_->wk, BiasPtr(wk_), k, total,
-               /*accumulate=*/false);
-  float* vproj = arena.Alloc(total * d);
-  nn::Int8Gemm(act_q, act_s, quant_->wv, BiasPtr(wv_), vproj, total,
-               /*accumulate=*/false);
-  // Captured K/V are the fp32 int8-GEMM outputs — exactly what a stacked
-  // forward would feed attention, since activation quantization is per-row.
-  if (capture_k != nullptr) std::copy(k, k + total * d, capture_k);
-  if (capture_v != nullptr) std::copy(vproj, vproj + total * d, capture_v);
-
-  float* attended = arena.Alloc(total * d);
-  AttendSpans(q, k, vproj, spans, attended, arena, prefix_kv);
-
-  nn::QuantizeActivationRows(attended, total, d, act_q, act_s);
-  float* att_proj = arena.Alloc(total * d);
-  nn::Int8Gemm(act_q, act_s, quant_->wo, BiasPtr(wo_), att_proj, total,
-               /*accumulate=*/false);
-  float* residual = arena.Alloc(total * d);
-  const int64_t cells = total * d;
-  for (int64_t i = 0; i < cells; ++i) residual[i] = x[i] + att_proj[i];
-  float* ff_in = arena.Alloc(total * d);
-  ln_ffn_.ForwardInference(residual, total, ff_in);
-  nn::QuantizeActivationRows(ff_in, total, d, act_q, act_s);
-  float* hidden = arena.Alloc(total * f);
-  nn::Int8Gemm(act_q, act_s, quant_->ffn_in, BiasPtr(ffn_in_), hidden, total,
-               /*accumulate=*/false);
-  GeluInPlaceApprox(hidden, total * f);
-  const int64_t fp = quant_->ffn_out.packed_depth();
-  int8_t* hidden_q = AllocInt8(arena, total * fp);
-  nn::QuantizeActivationRows(hidden, total, f, hidden_q, act_s);
-  nn::Int8Gemm(hidden_q, act_s, quant_->ffn_out, BiasPtr(ffn_out_), out,
-               total, /*accumulate=*/false);
+  DenseInput hidden_in{hidden};
+  Dense(hidden_in, total, ffn_out_, nullptr, &QuantWeights::ffn_out, out,
+        arena);
   for (int64_t i = 0; i < cells; ++i) out[i] = residual[i] + out[i];
 }
 
@@ -638,14 +613,20 @@ void TinyLm::GatherPromptRows(
   }
 }
 
-nn::Tensor TinyLm::EncodeBatch(
+nn::Tensor TinyLm::EncodeRows(
     const std::vector<const std::vector<PromptPiece>*>& prompts,
-    const nn::Tensor& effective_table, std::vector<SequenceSpan>* spans,
-    const std::vector<int64_t>* prefix_lengths) const {
+    const std::vector<int64_t>* prefix_lengths,
+    const nn::Tensor& effective_table, const PrefixState* cached,
+    PrefixState* capture, std::vector<SequenceSpan>* spans) const {
   DELREC_CHECK(!prompts.empty());
   DELREC_CHECK(spans != nullptr);
   if (prefix_lengths != nullptr) {
     DELREC_CHECK_EQ(prefix_lengths->size(), prompts.size());
+  }
+  if (cached != nullptr) {
+    DELREC_CHECK(cached->defined());
+    DELREC_CHECK_EQ(cached->keys.size(), blocks_.size());
+    DELREC_CHECK_EQ(cached->values.size(), blocks_.size());
   }
   nn::NoGradGuard no_grad;
   // With a quantized token table the fp32 effective table is never built:
@@ -660,6 +641,7 @@ nn::Tensor TinyLm::EncodeBatch(
     tv = table.data().data();
   }
   const int64_t d = config_.model_dim;
+  const int64_t position_offset = cached != nullptr ? cached->length : 0;
 
   spans->clear();
   spans->reserve(prompts.size());
@@ -671,8 +653,8 @@ nn::Tensor TinyLm::EncodeBatch(
     int64_t length = 0;
     for (const PromptPiece& piece : *pieces) length += piece.length();
     DELREC_CHECK_GT(length, 0);
-    DELREC_CHECK_LE(length, config_.max_positions)
-        << "prompt longer than max_positions";
+    DELREC_CHECK_LE(position_offset + length, config_.max_positions)
+        << "prompt (after any cached prefix) longer than max_positions";
     const int64_t prefix =
         prefix_lengths != nullptr ? (*prefix_lengths)[i] : int64_t{0};
     DELREC_CHECK_GE(prefix, 0);
@@ -683,21 +665,44 @@ nn::Tensor TinyLm::EncodeBatch(
 
   util::ScopedArena arena;
   float* x = arena.Alloc(total * d);
-  GatherPromptRows(prompts, *spans, tv, /*position_offset=*/0, x);
+  GatherPromptRows(prompts, *spans, tv, position_offset, x);
 
+  if (capture != nullptr) {
+    capture->length = total;
+    capture->keys.assign(blocks_.size(), std::vector<float>(total * d));
+    capture->values.assign(blocks_.size(), std::vector<float>(total * d));
+  }
   float* cur = x;
   float* next = arena.Alloc(total * d);
-  for (const auto& block : blocks_) {
-    block->ForwardBatchInference(cur, total, *spans, next, arena);
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    BlockPrefixKv kv;
+    if (cached != nullptr) {
+      kv = {cached->keys[b].data(), cached->values[b].data(), cached->length};
+    }
+    blocks_[b]->ForwardBatchInference(
+        cur, total, *spans, next, arena, cached != nullptr ? &kv : nullptr,
+        capture != nullptr ? capture->keys[b].data() : nullptr,
+        capture != nullptr ? capture->values[b].data() : nullptr);
     std::swap(cur, next);
   }
+  // A captured prefix is read only through its K/V: the mask position a
+  // request scores always lies in its suffix (PromptBuilder::Split).
+  if (capture != nullptr) return nn::Tensor();
   std::vector<float> out = util::BufferPool::Global().Acquire(total * d);
   final_norm_.ForwardInference(cur, total, out.data());
   return nn::Tensor::FromData({total, d}, std::move(out));
 }
 
+nn::Tensor TinyLm::EncodeBatch(
+    const std::vector<const std::vector<PromptPiece>*>& prompts,
+    const nn::Tensor& effective_table, std::vector<SequenceSpan>* spans,
+    const std::vector<int64_t>* prefix_lengths) const {
+  return EncodeRows(prompts, prefix_lengths, effective_table,
+                    /*cached=*/nullptr, /*capture=*/nullptr, spans);
+}
+
 size_t TinyLm::PrefixState::MemoryBytes() const {
-  size_t bytes = hidden.size() * sizeof(float);
+  size_t bytes = 0;
   for (const auto& layer : keys) bytes += layer.size() * sizeof(float);
   for (const auto& layer : values) bytes += layer.size() * sizeof(float);
   return bytes;
@@ -706,49 +711,16 @@ size_t TinyLm::PrefixState::MemoryBytes() const {
 TinyLm::PrefixState TinyLm::BuildPrefixState(
     const std::vector<PromptPiece>& prefix_pieces,
     const nn::Tensor& effective_table) const {
-  DELREC_CHECK(!prefix_pieces.empty());
-  nn::NoGradGuard no_grad;
-  nn::Tensor table;
-  const float* tv = nullptr;
-  if (!quant_table_.defined()) {
-    table = effective_table.defined() ? effective_table
-                                      : EffectiveTokenTable();
-    tv = table.data().data();
-  }
-  const int64_t d = config_.model_dim;
-  int64_t length = 0;
-  for (const PromptPiece& piece : prefix_pieces) length += piece.length();
-  DELREC_CHECK_GT(length, 0);
-  DELREC_CHECK_LE(length, config_.max_positions);
-
-  PrefixState state;
-  state.length = length;
-  state.keys.resize(blocks_.size());
-  state.values.resize(blocks_.size());
-
   // One span, entirely frozen head: the attention this runs for rows
   // [0, P) is exactly what a boundary-masked full forward computes for
   // them, so the captured K/V are the cached-path ground truth.
-  const std::vector<SequenceSpan> spans = {{0, length, length}};
-  const std::vector<const std::vector<PromptPiece>*> prompts = {
-      &prefix_pieces};
-  util::ScopedArena arena;
-  float* x = arena.Alloc(length * d);
-  GatherPromptRows(prompts, spans, tv, /*position_offset=*/0, x);
-
-  float* cur = x;
-  float* next = arena.Alloc(length * d);
-  for (size_t b = 0; b < blocks_.size(); ++b) {
-    state.keys[b].resize(length * d);
-    state.values[b].resize(length * d);
-    blocks_[b]->ForwardBatchInference(cur, length, spans, next, arena,
-                                      /*prefix_kv=*/nullptr,
-                                      state.keys[b].data(),
-                                      state.values[b].data());
-    std::swap(cur, next);
-  }
-  state.hidden.resize(length * d);
-  final_norm_.ForwardInference(cur, length, state.hidden.data());
+  int64_t length = 0;
+  for (const PromptPiece& piece : prefix_pieces) length += piece.length();
+  const std::vector<int64_t> prefix_lengths = {length};
+  PrefixState state;
+  std::vector<SequenceSpan> spans;
+  EncodeRows({&prefix_pieces}, &prefix_lengths, effective_table,
+             /*cached=*/nullptr, &state, &spans);
   return state;
 }
 
@@ -757,54 +729,8 @@ nn::Tensor TinyLm::EncodeBatchWithPrefix(
     const std::vector<const std::vector<PromptPiece>*>& suffixes,
     const nn::Tensor& effective_table,
     std::vector<SequenceSpan>* spans) const {
-  DELREC_CHECK(prefix.defined());
-  DELREC_CHECK_EQ(prefix.keys.size(), blocks_.size());
-  DELREC_CHECK_EQ(prefix.values.size(), blocks_.size());
-  DELREC_CHECK(!suffixes.empty());
-  DELREC_CHECK(spans != nullptr);
-  nn::NoGradGuard no_grad;
-  nn::Tensor table;
-  const float* tv = nullptr;
-  if (!quant_table_.defined()) {
-    table = effective_table.defined() ? effective_table
-                                      : EffectiveTokenTable();
-    tv = table.data().data();
-  }
-  const int64_t d = config_.model_dim;
-
-  spans->clear();
-  spans->reserve(suffixes.size());
-  int64_t total = 0;
-  for (const std::vector<PromptPiece>* pieces : suffixes) {
-    DELREC_CHECK(pieces != nullptr);
-    DELREC_CHECK(!pieces->empty());
-    int64_t length = 0;
-    for (const PromptPiece& piece : *pieces) length += piece.length();
-    DELREC_CHECK_GT(length, 0);
-    DELREC_CHECK_LE(prefix.length + length, config_.max_positions)
-        << "prefix + suffix longer than max_positions";
-    spans->push_back({total, length});
-    total += length;
-  }
-
-  util::ScopedArena arena;
-  float* x = arena.Alloc(total * d);
-  GatherPromptRows(suffixes, *spans, tv,
-                   /*position_offset=*/prefix.length, x);
-
-  float* cur = x;
-  float* next = arena.Alloc(total * d);
-  for (size_t b = 0; b < blocks_.size(); ++b) {
-    BlockPrefixKv kv;
-    kv.keys = prefix.keys[b].data();
-    kv.values = prefix.values[b].data();
-    kv.length = prefix.length;
-    blocks_[b]->ForwardBatchInference(cur, total, *spans, next, arena, &kv);
-    std::swap(cur, next);
-  }
-  std::vector<float> out = util::BufferPool::Global().Acquire(total * d);
-  final_norm_.ForwardInference(cur, total, out.data());
-  return nn::Tensor::FromData({total, d}, std::move(out));
+  return EncodeRows(suffixes, /*prefix_lengths=*/nullptr, effective_table,
+                    &prefix, /*capture=*/nullptr, spans);
 }
 
 nn::Tensor TinyLm::LogitsAtRows(const nn::Tensor& hidden,
@@ -848,16 +774,15 @@ nn::Tensor TinyLm::LogitsAtRows(const nn::Tensor& hidden,
   return nn::Tensor::FromData({b, vocab}, std::move(out));
 }
 
-void TinyLm::QuantizeForInference(bool quantize_embedding_table) {
+void TinyLm::QuantizeForInference() {
   for (auto& block : blocks_) block->QuantizeForInference();
-  if (quantize_embedding_table && !quant_table_.defined()) {
+  if (!quant_table_.defined()) {
     // Merge the embedding-LoRA delta first so the quantized table matches
     // the effective table the fp32 path gathers from.
     const nn::Tensor table = MaterializeTokenTable();
     quant_table_ = nn::QuantTensor::FromRows(
         table.data().data(), config_.vocab_size, config_.model_dim);
   }
-  quantized_ = true;
 }
 
 size_t TinyLm::InferenceWeightBytes() const {

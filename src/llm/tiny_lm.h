@@ -97,16 +97,17 @@ class TinyLmBlock : public nn::Module {
   /// Inference-only batched forward: `x` holds `total` row-concatenated
   /// hidden rows covering `spans`; writes the block output to `out` (same
   /// shape, must not alias x). Dense projections run as single stacked
-  /// GEMMs; attention stays block-diagonal per span. Every row is
+  /// GEMMs — fp32, or int8 once QuantizeForInference() has run; attention
+  /// stays block-diagonal per span. On the fp32 weights every row is
   /// bit-identical to Forward() run on that span alone (DESIGN.md §11).
   ///
   /// When `prefix_kv` is set, every span is the suffix of one shared frozen
   /// prefix whose K/V rows were captured earlier: suffix rows attend over
   /// cached-prefix-keys ++ fresh-span-keys (same summation order as the
   /// uncached boundary-masked path, so bit-identical). `capture_k` /
-  /// `capture_v` (each total × model_dim) receive this block's post-adapter
-  /// (or post-int8-GEMM) K/V projections — the snapshot-build hook that
-  /// fills a TinyLm::PrefixState.
+  /// `capture_v` (each total × model_dim) receive this block's K/V
+  /// projections exactly as attention reads them — the snapshot-build hook
+  /// that fills a TinyLm::PrefixState.
   void ForwardBatchInference(const float* x, int64_t total,
                              const std::vector<SequenceSpan>& spans,
                              float* out, util::ScopedArena& arena,
@@ -124,11 +125,10 @@ class TinyLmBlock : public nn::Module {
   /// Builds the int8 serving weights (DESIGN.md §13): merges any adapters
   /// into their base matrices and quantizes all six dense projections
   /// per-output-channel. Idempotent; after this, ForwardBatchInference
-  /// routes its dense GEMMs through nn::Int8Gemm while LayerNorm, attention
-  /// and GELU stay fp32. Forward() and the fp32 batched path of an
-  /// un-quantized block are unaffected.
+  /// routes its dense GEMMs through nn::Int8Gemm and its GELU through the
+  /// Padé approximation, while LayerNorm and attention stay fp32. Forward()
+  /// keeps reading the fp32 parameters.
   void QuantizeForInference();
-  bool quantized() const { return quant_ != nullptr; }
 
   /// Bytes of weights the batched inference path reads: fp32 LN affines and
   /// biases plus either the fp32 dense matrices (+ adapter factors) or their
@@ -141,23 +141,35 @@ class TinyLmBlock : public nn::Module {
     nn::QuantTensor wq, wk, wv, wo, ffn_in, ffn_out;
   };
 
-  /// The block-diagonal per-span attention stage shared by the fp32 and int8
-  /// batched paths: consumes the stacked q/k/v projections, writes the
-  /// concatenated head outputs to `attended`. Arithmetic is identical to the
-  /// historical inline loop (DESIGN.md §11) — the int8 path changes only how
-  /// q/k/v and the surrounding projections are produced. Honors each span's
-  /// frozen-prefix boundary, and with `prefix_kv` splices the shared cached
-  /// K/V rows ahead of every span's fresh rows.
+  /// Input rows of one or more dense projections. On the int8 path the
+  /// first projection quantizes them per row and later projections of the
+  /// same rows reuse the codes (wq, wk and wv all read the normed rows).
+  struct DenseInput {
+    const float* rows = nullptr;
+    int8_t* codes = nullptr;
+    float* scales = nullptr;
+  };
+
+  /// out = in·W + b for one of the six dense projections of `total` rows:
+  /// the fp32 GEMM plus the adapter's LoRA delta, or, once quantized, an
+  /// int8 GEMM against `linear`'s merged int8 copy (the QuantWeights member
+  /// `weights` points to).
+  void Dense(DenseInput& in, int64_t total, const nn::Linear& linear,
+             const nn::LoraLinear* adapter,
+             nn::QuantTensor QuantWeights::*weights, float* out,
+             util::ScopedArena& arena) const;
+
+  /// The block-diagonal per-span attention stage: consumes the stacked
+  /// q/k/v projections, writes the concatenated head outputs to `attended`.
+  /// Arithmetic is identical to the historical inline loop (DESIGN.md §11)
+  /// on the fp32 and int8 weights alike. Honors each span's frozen-prefix
+  /// boundary, and with `prefix_kv` splices the shared cached K/V rows
+  /// ahead of every span's fresh rows.
   void AttendSpans(const float* q, const float* k, const float* vproj,
                    const std::vector<SequenceSpan>& spans, float* attended,
                    util::ScopedArena& arena,
                    const BlockPrefixKv* prefix_kv) const;
 
-  void ForwardBatchInferenceQuant(const float* x, int64_t total,
-                                  const std::vector<SequenceSpan>& spans,
-                                  float* out, util::ScopedArena& arena,
-                                  const BlockPrefixKv* prefix_kv,
-                                  float* capture_k, float* capture_v) const;
   int64_t num_heads_;
   int64_t head_dim_;
   nn::LayerNorm ln_attention_;
@@ -212,13 +224,12 @@ class TinyLm : public nn::Module {
       const std::vector<int64_t>* prefix_lengths = nullptr) const;
 
   /// Precomputed shared-prefix state (DESIGN.md §15): per-layer attention
-  /// K/V rows plus the final hidden rows of a frozen prompt head, computed
-  /// once per snapshot and reused by every request that shares the head.
+  /// K/V rows of a frozen prompt head, computed once per snapshot and
+  /// reused by every request that shares the head.
   struct PrefixState {
     int64_t length = 0;
     std::vector<std::vector<float>> keys;    // Per layer, (length, D).
     std::vector<std::vector<float>> values;  // Per layer, (length, D).
-    std::vector<float> hidden;               // (length, D), final-norm out.
 
     bool defined() const { return length > 0; }
     /// Bytes the cache holds resident (counted in snapshot footprints).
@@ -297,18 +308,19 @@ class TinyLm : public nn::Module {
   std::vector<nn::Tensor> BitFitParameters() const;
 
   /// Converts this (frozen) model to int8 serving form (DESIGN.md §13):
-  /// every block's dense projections are merged+quantized, and — when
-  /// `quantize_embedding_table` — the effective token table (base plus
-  /// embedding-LoRA delta) is quantized per-row too, covering both the
-  /// input gather and the tied LM head. Idempotent. Only the batched
-  /// inference paths (EncodeBatch / LogitsAtRows) change; training forwards
-  /// keep reading the fp32 parameters.
-  void QuantizeForInference(bool quantize_embedding_table);
-  bool quantized() const { return quantized_; }
+  /// every block's dense projections are merged+quantized, and the
+  /// effective token table (base plus embedding-LoRA delta) is quantized
+  /// per-row, covering both the input gather and the tied LM head.
+  /// Idempotent. Only the batched inference paths (EncodeBatch /
+  /// LogitsAtRows) change; training forwards keep reading the fp32
+  /// parameters.
+  void QuantizeForInference();
+  bool quantized() const { return quant_table_.defined(); }
+  /// Same as quantized(): int8 serving always includes the token table.
   bool embedding_table_quantized() const { return quant_table_.defined(); }
 
-  /// The quantized token table (defined only after QuantizeForInference with
-  /// quantize_embedding_table) — exposed for parity tests.
+  /// The quantized token table (defined only after QuantizeForInference) —
+  /// exposed for parity tests.
   const nn::QuantTensor& quant_table() const { return quant_table_; }
 
   /// Bytes of weights one EncodeBatch+LogitsAtRows pass reads: blocks,
@@ -336,11 +348,25 @@ class TinyLm : public nn::Module {
   nn::Tensor embedding_lora_b_;  // (rank, model_dim)
   float embedding_lora_scale_ = 0.0f;
   // Int8 serving state (set by QuantizeForInference).
-  bool quantized_ = false;
   nn::QuantTensor quant_table_;  // (vocab, model_dim), LoRA delta merged.
 
   /// Token table with the low-rank delta applied (or the raw table).
   nn::Tensor EffectiveTokenTable() const;
+
+  /// The one batched inference encoder behind EncodeBatch, BuildPrefixState
+  /// and EncodeBatchWithPrefix: resolves the token table (nothing to
+  /// resolve once it is quantized), lays the prompts out as row-concatenated
+  /// spans into `spans` after checking their lengths, gathers embeddings
+  /// plus positions, and runs every block. With `cached`, every prompt is a
+  /// suffix of that prefix: positions start at cached->length and attention
+  /// reads its K/V ahead of each span. With `capture`, each block's K/V rows
+  /// are written into it and no final norm runs (the result is undefined);
+  /// otherwise returns the final-norm hidden rows (ΣT, D).
+  nn::Tensor EncodeRows(
+      const std::vector<const std::vector<PromptPiece>*>& prompts,
+      const std::vector<int64_t>* prefix_lengths,
+      const nn::Tensor& effective_table, const PrefixState* cached,
+      PrefixState* capture, std::vector<SequenceSpan>* spans) const;
 
   /// Gathers prompt embeddings plus position rows (positions starting at
   /// `position_offset`) into the stacked activation buffer `x`. `table` is

@@ -94,16 +94,16 @@ std::future<ScoreResponse> RecommendationEngine::ScoreAsync(
   std::future<ScoreResponse> future = pending.promise.get_future();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++submitted_;
+    ++stats_.submitted;
     if (stopping_) {
-      ++shed_shutdown_;
+      ++stats_.shed_shutdown;
       pending.promise.set_value(Rejection(
           util::Status::Unavailable("engine is shut down")));
       return future;
     }
     if (options_.max_queue_depth > 0 &&
         queue_.size() >= static_cast<size_t>(options_.max_queue_depth)) {
-      ++shed_queue_full_;
+      ++stats_.shed_queue_full;
       pending.promise.set_value(Rejection(util::Status::Unavailable(
           "admission queue full (depth " +
           std::to_string(options_.max_queue_depth) + ")")));
@@ -139,30 +139,22 @@ void RecommendationEngine::Shutdown() {
 }
 
 RecommendationEngine::Stats RecommendationEngine::GetStats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   Stats stats;
-  stats.submitted = submitted_;
-  stats.requests = dispatched_requests_;
-  stats.scored = scored_requests_;
-  stats.batches = dispatched_batches_;
-  stats.max_batch = max_batch_;
-  stats.mean_batch =
-      dispatched_batches_ == 0
-          ? 0.0
-          : static_cast<double>(dispatched_requests_) /
-                static_cast<double>(dispatched_batches_);
-  stats.shed_queue_full = shed_queue_full_;
-  stats.shed_deadline = shed_deadline_;
-  stats.shed_shutdown = shed_shutdown_;
-  stats.scorer_failures = scorer_failures_;
-  stats.swaps_observed = swaps_observed_;
-  stats.snapshot_version = last_version_;
-  stats.prefix_tokens_skipped = prefix_tokens_skipped_;
-  stats.prefix_tokens_by_version = prefix_tokens_by_version_;
-  stats.queue_wait_histogram = queue_wait_histogram_;
-  stats.queue_p50_ms = QueueWaitPercentileMs(queue_wait_histogram_, 0.50);
-  stats.queue_p99_ms = QueueWaitPercentileMs(queue_wait_histogram_, 0.99);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats = stats_;
+  }
+  Summarize(stats);
   return stats;
+}
+
+void RecommendationEngine::Summarize(Stats& stats) {
+  stats.mean_batch = stats.batches == 0
+                         ? 0.0
+                         : static_cast<double>(stats.requests) /
+                               static_cast<double>(stats.batches);
+  stats.queue_p50_ms = QueueWaitPercentileMs(stats.queue_wait_histogram, 0.50);
+  stats.queue_p99_ms = QueueWaitPercentileMs(stats.queue_wait_histogram, 0.99);
 }
 
 double RecommendationEngine::QueueWaitPercentileMs(
@@ -190,7 +182,7 @@ void RecommendationEngine::RecordQueueWaitLocked(Clock::duration wait) {
   while (bucket < kQueueWaitBuckets - 1 && (int64_t{1} << bucket) <= us) {
     ++bucket;
   }
-  ++queue_wait_histogram_[bucket];
+  ++stats_.queue_wait_histogram[bucket];
 }
 
 void RecommendationEngine::DispatcherLoop() {
@@ -224,17 +216,17 @@ void RecommendationEngine::DispatcherLoop() {
       Pending pending = std::move(queue_.front());
       queue_.pop_front();
       if (pending.deadline < now) {
-        ++shed_deadline_;
+        ++stats_.shed_deadline;
         expired.push_back(std::move(pending));
       } else {
         RecordQueueWaitLocked(now - pending.arrival);
         batch.push_back(std::move(pending));
       }
     }
-    dispatched_requests_ += batch.size();
+    stats_.requests += batch.size();
     if (!batch.empty()) {
-      dispatched_batches_ += 1;
-      max_batch_ = std::max<uint64_t>(max_batch_, batch.size());
+      stats_.batches += 1;
+      stats_.max_batch = std::max<uint64_t>(stats_.max_batch, batch.size());
     }
     lock.unlock();
 
@@ -250,9 +242,9 @@ void RecommendationEngine::DispatcherLoop() {
     const SnapshotHandle::Tagged tagged = handle_->Acquire();
     {
       std::lock_guard<std::mutex> stats_lock(mutex_);
-      if (tagged.version != last_version_) {
-        if (last_version_ != 0) ++swaps_observed_;
-        last_version_ = tagged.version;
+      if (tagged.version != stats_.snapshot_version) {
+        if (stats_.snapshot_version != 0) ++stats_.swaps_observed;
+        stats_.snapshot_version = tagged.version;
       }
     }
 
@@ -286,7 +278,7 @@ void RecommendationEngine::DispatcherLoop() {
     {
       std::lock_guard<std::mutex> stats_lock(mutex_);
       if (batch_status.ok()) {
-        scored_requests_ += batch.size();
+        stats_.scored += batch.size();
         // Count against the scorer this batch actually ran on — a hot-swap
         // can change the cached prefix length mid-stream — and attribute
         // the tokens to its version so mixed-version windows stay auditable
@@ -294,10 +286,10 @@ void RecommendationEngine::DispatcherLoop() {
         const uint64_t skipped =
             batch.size() *
             static_cast<uint64_t>(tagged.scorer->CachedPrefixLength());
-        prefix_tokens_skipped_ += skipped;
-        prefix_tokens_by_version_[tagged.version] += skipped;
+        stats_.prefix_tokens_skipped += skipped;
+        stats_.prefix_tokens_by_version[tagged.version] += skipped;
       } else {
-        scorer_failures_ += batch.size();
+        stats_.scorer_failures += batch.size();
       }
     }
     if (batch_status.ok()) {

@@ -153,6 +153,11 @@ class RecommendationEngine {
   };
   Stats GetStats() const;
 
+  /// Fills the summary fields of `stats` — mean_batch, queue_p50_ms and
+  /// queue_p99_ms — from its counts and queue-wait histogram. GetStats()
+  /// and MergeStats() both finish with it.
+  static void Summarize(Stats& stats);
+
   /// Upper-bound percentile (q in [0,1]) of a queue-wait histogram, in ms.
   /// 0 when the histogram is empty.
   static double QueueWaitPercentileMs(const QueueWaitHistogram& histogram,
@@ -180,20 +185,9 @@ class RecommendationEngine {
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   bool stopping_ = false;
-  uint64_t submitted_ = 0;
-  uint64_t dispatched_requests_ = 0;
-  uint64_t scored_requests_ = 0;
-  uint64_t dispatched_batches_ = 0;
-  uint64_t max_batch_ = 0;
-  uint64_t shed_queue_full_ = 0;
-  uint64_t shed_deadline_ = 0;
-  uint64_t shed_shutdown_ = 0;
-  uint64_t scorer_failures_ = 0;
-  uint64_t swaps_observed_ = 0;
-  uint64_t last_version_ = 0;
-  uint64_t prefix_tokens_skipped_ = 0;
-  std::map<uint64_t, uint64_t> prefix_tokens_by_version_;
-  QueueWaitHistogram queue_wait_histogram_{};
+  // Guarded by mutex_. Its summary fields stay 0: GetStats() fills them in
+  // the copy it returns.
+  Stats stats_;
 
   std::thread dispatcher_;  // Last member: starts in the ctor body.
 };

@@ -113,14 +113,7 @@ RecommendationEngine::Stats MergeStats(
       total.queue_wait_histogram[bucket] += shard.queue_wait_histogram[bucket];
     }
   }
-  total.mean_batch = total.batches == 0
-                         ? 0.0
-                         : static_cast<double>(total.requests) /
-                               static_cast<double>(total.batches);
-  total.queue_p50_ms = RecommendationEngine::QueueWaitPercentileMs(
-      total.queue_wait_histogram, 0.50);
-  total.queue_p99_ms = RecommendationEngine::QueueWaitPercentileMs(
-      total.queue_wait_histogram, 0.99);
+  RecommendationEngine::Summarize(total);
   return total;
 }
 

@@ -17,8 +17,7 @@ EngineSnapshot::EngineSnapshot(const core::DelRecConfig& config,
     : sources_(sources),
       config_(config),
       prompt_builder_(sources.catalog, sources.vocab),
-      verbalizer_(*sources.catalog, *sources.vocab),
-      scratch_rng_(config.seed) {}
+      verbalizer_(*sources.catalog, *sources.vocab) {}
 
 util::StatusOr<std::unique_ptr<EngineSnapshot>> EngineSnapshot::FromModel(
     const core::DelRec& model, const llm::TinyLm& llm, const Sources& sources,
@@ -105,9 +104,7 @@ util::StatusOr<std::unique_ptr<EngineSnapshot>> EngineSnapshot::FromBlobs(
       {config.soft_prompt_count, llm_config.model_dim}, blobs.soft_prompts);
 
   snapshot->llm_ = std::move(lm);
-  if (options.quantize_int8) {
-    snapshot->llm_->QuantizeForInference(options.quantize_embedding_table);
-  }
+  if (options.quantize_int8) snapshot->llm_->QuantizeForInference();
   // Materialize the effective token table once: every request shares it
   // instead of re-deriving the embedding-LoRA delta. With a quantized table
   // the fp32 copy is deliberately never built — the gather and the LM head
@@ -185,25 +182,9 @@ void MaybeInjectScorerFault() {
 }  // namespace
 
 std::vector<float> EngineSnapshot::Score(const ScoreRequest& request) const {
-  // A quantized snapshot's int8 kernels live only on the batched path
-  // (TinyLm::Forward still reads the fp32 parameters), so route single
-  // requests through ScoreBatch to keep Score ≡ ScoreBatch row-for-row.
+  // A batch of one: Score ≡ ScoreBatch row by construction, fp32 and int8.
   // The scorer failpoint fires inside ScoreBatch, exactly once.
-  if (llm_->quantized()) {
-    return ScoreBatch({request}).front();
-  }
-  MaybeInjectScorerFault();
-  nn::NoGradGuard no_grad;
-  const llm::Prompt prompt = core::inference::BuildScoringPrompt(
-      config_, prompt_builder_, *sources_.sr_model, soft_prompts_,
-      request.history, request.candidates);
-  // The boundary-masked full encode — the continuous cross-check that the
-  // cached ScoreBatch path below stays bit-identical to a full re-encode
-  // (serve_test pins Score ≡ ScoreBatch row at every batch composition).
-  const nn::Tensor hidden =
-      llm_->Encode(prompt.pieces, 0.0f, scratch_rng_, prompt.prefix_length);
-  const nn::Tensor token_logits = llm_->LogitsAt(hidden, prompt.mask_position);
-  return verbalizer_.Scores(token_logits.data(), request.candidates);
+  return ScoreBatch({request}).front();
 }
 
 std::vector<std::vector<float>> EngineSnapshot::ScoreBatch(

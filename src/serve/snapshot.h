@@ -18,7 +18,6 @@
 #include "serve/scorer.h"
 #include "srmodels/factory.h"
 #include "srmodels/recommender.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace delrec::serve {
@@ -26,16 +25,15 @@ namespace delrec::serve {
 /// Snapshot build-time options (DESIGN.md §13). `quantize_int8` converts the
 /// frozen TinyLm to int8 serving form after loading: adapters merged, dense
 /// projections quantized per-output-channel, matmuls routed through the
-/// packed int8 kernels. `quantize_embedding_table` additionally quantizes
-/// the effective token table (covering the input gather and the tied LM
-/// head) — the bulk of the footprint win, as the table dominates weight
-/// bytes at these model sizes. Scores are no longer bit-identical to the
-/// fp32 snapshot but stay within the tolerance gated by
-/// tests/quant_parity_test.cc; the fp32 default is bit-for-bit unchanged.
+/// packed int8 kernels, and the effective token table quantized too
+/// (covering the input gather and the tied LM head) — the bulk of the
+/// footprint win, as the table dominates weight bytes at these model sizes.
+/// Scores are no longer bit-identical to the fp32 snapshot but stay within
+/// the tolerance gated by tests/quant_parity_test.cc; the fp32 default is
+/// bit-for-bit unchanged.
 /// (Namespace-scope rather than nested so it can be a default argument.)
 struct SnapshotBuildOptions {
   bool quantize_int8 = false;
-  bool quantize_embedding_table = true;
   /// Precomputes the shared prompt-prefix K/V cache (TinyLm::PrefixState)
   /// at build time so ScoreBatch encodes only each request's suffix
   /// (DESIGN.md §15). Scores are bit-identical either way — the cache is
@@ -51,7 +49,7 @@ struct SnapshotFootprint {
   size_t weight_bytes = 0;        ///< TinyLm serving weights (fp32 or int8).
   size_t soft_prompt_bytes = 0;   ///< Distilled soft-prompt rows.
   size_t token_table_bytes = 0;   ///< Materialized fp32 effective table.
-  size_t prefix_cache_bytes = 0;  ///< PrefixState per-layer K/V + hidden.
+  size_t prefix_cache_bytes = 0;  ///< PrefixState per-layer K/V.
   size_t student_bytes = 0;       ///< Embedded distilled student (0 if none).
 
   size_t total() const {
@@ -70,10 +68,11 @@ struct SnapshotFootprint {
 ///
 /// Scoring is const and thread-safe: the snapshot's own TinyLm is never
 /// mutated after construction, inference draws no RNG, and grad mode is
-/// thread-local. Score() walks the same per-sequence tensor path as
-/// DelRec::ScoreCandidates; ScoreBatch() stacks prompts into one
-/// row-concatenated TinyLm::EncodeBatch pass, bit-identical per row at
-/// every thread count and batch composition (DESIGN.md §11).
+/// thread-local. ScoreBatch() stacks prompts into one row-concatenated
+/// batched encode (suffix-only over the prefix KV cache when one was
+/// built), bit-identical per row at every thread count and batch
+/// composition — and, on fp32 weights, to DelRec::ScoreCandidates'
+/// per-sequence forward (DESIGN.md §11). Score() is a batch of one.
 class EngineSnapshot : public Scorer {
  public:
   /// Borrowed, immutable context the snapshot scores against. All pointers
@@ -176,9 +175,6 @@ class EngineSnapshot : public Scorer {
   // checkpoint carried none). Owned and frozen like everything else here;
   // lives and dies with the snapshot so two-tier publishes are atomic.
   srmodels::LoadedStudent student_;
-  // Handed to Encode() for its dropout parameter; inference never draws
-  // from it (dropout 0, training off), so concurrent Score() calls are safe.
-  mutable util::Rng scratch_rng_;
 };
 
 }  // namespace delrec::serve

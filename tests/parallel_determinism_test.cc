@@ -250,6 +250,13 @@ TEST_F(ParallelDeterminismTest, SnapshotBatchScoringBitIdenticalAcrossThreads) {
     util::ScopedParallelism parallel(1, /*min_work_per_dispatch=*/1);
     for (const serve::ScoreRequest& request : requests) {
       reference.push_back(snapshot.value()->Score(request));
+      // The autograd per-sequence forward the live model scores with: the
+      // batched inference encoder must reproduce it bit for bit.
+      data::Example example;
+      example.history = request.history;
+      example.target = request.candidates[0];
+      EXPECT_EQ(reference.back(),
+                model.ScoreCandidates(example, request.candidates));
     }
   }
   for (int threads : kThreadCounts) {

@@ -118,11 +118,9 @@ class QuantParityTest : public ::testing::Test {
     return std::move(snapshot.value());
   }
 
-  static serve::SnapshotBuildOptions Int8Options(
-      bool quantize_embedding_table = true) {
+  static serve::SnapshotBuildOptions Int8Options() {
     serve::SnapshotBuildOptions options;
     options.quantize_int8 = true;
-    options.quantize_embedding_table = quantize_embedding_table;
     return options;
   }
 
@@ -167,16 +165,6 @@ TEST_F(QuantParityTest, QuantizedFlagAndFootprintShrink) {
       "(llm weights %.2fx)\n",
       fp32_bytes, int8_bytes, shrink, fp32_weights / int8_weights);
   EXPECT_GE(shrink, 2.2);
-
-  // Without the table quantized the dense projections still shrink, but the
-  // fp32 effective table dominates: footprint lands strictly between.
-  const auto int8_fp32_table = Snapshot(Int8Options(false));
-  EXPECT_TRUE(int8_fp32_table->quantized());
-  EXPECT_FALSE(int8_fp32_table->llm().embedding_table_quantized());
-  const double mixed_bytes =
-      static_cast<double>(int8_fp32_table->MemoryFootprintBytes());
-  EXPECT_LT(mixed_bytes, fp32_bytes);
-  EXPECT_GT(mixed_bytes, int8_bytes);
 }
 
 // Per-layer quantization error bound, checked on the real trained model's

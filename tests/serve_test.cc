@@ -126,14 +126,17 @@ core::DelRec* ServeTest::model_ = nullptr;
 
 TEST_F(ServeTest, SnapshotMatchesLiveModelBitIdentical) {
   const auto snapshot = Snapshot();
-  for (const serve::ScoreRequest& request : MakeRequests(10)) {
+  const std::vector<serve::ScoreRequest> requests = MakeRequests(10);
+  std::vector<std::vector<float>> live;
+  for (const serve::ScoreRequest& request : requests) {
     data::Example example;
     example.history = request.history;
     example.target = request.candidates[0];
-    const std::vector<float> live =
-        model_->ScoreCandidates(example, request.candidates);
-    EXPECT_EQ(snapshot->Score(request), live);
+    live.push_back(model_->ScoreCandidates(example, request.candidates));
+    EXPECT_EQ(snapshot->Score(request), live.back());
   }
+  // The same requests stacked into one batch.
+  EXPECT_EQ(snapshot->ScoreBatch(requests), live);
 }
 
 TEST_F(ServeTest, SnapshotFromCheckpointMatchesFromModel) {
