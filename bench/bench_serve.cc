@@ -449,7 +449,6 @@ void BenchPrefixCache(bench::BenchRecorder& recorder,
     // length — deterministic, so it gates against the committed baseline.
     serve::EngineOptions engine_options;
     engine_options.max_batch_size = kBatchSize;
-    engine_options.batch_deadline_ms = 0.0;
     serve::RecommendationEngine engine(cached.value().get(), engine_options);
     for (const serve::ScoreRequest& request : requests) {
       engine.ScoreCandidates(request.history, request.candidates);
@@ -485,7 +484,6 @@ void BenchEngineThroughput(bench::BenchRecorder& recorder,
                            const std::vector<serve::ScoreRequest>& requests) {
   serve::EngineOptions options;
   options.max_batch_size = kBatchSize;
-  options.batch_deadline_ms = 1.0;
   serve::RecommendationEngine engine(&snapshot, options);
 
   std::vector<std::vector<double>> latencies(kClientThreads);

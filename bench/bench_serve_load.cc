@@ -359,7 +359,6 @@ int main() {
   serve::ShardedServerOptions probe_options;
   probe_options.num_shards = kShards;
   probe_options.engine.max_batch_size = kBatchSize;
-  probe_options.engine.batch_deadline_ms = 1.0;
   PhaseResult closed;
   {
     serve::ShardedServer server(snapshot, probe_options);
@@ -401,10 +400,10 @@ int main() {
       << below.shed_rate << ")";
 
   // Phase 3: open loop at 4x what every shard together could serve with
-  // only full batches. The closed-loop probe cannot set this rate: its few
-  // clients each wait out the linger, so saturated full batches serve
-  // several times the probed rate. Graceful degradation, not collapse:
-  // typed sheds, and successful-request p99 bounded by the
+  // only full batches. The closed-loop probe cannot set this rate: its
+  // four clients keep at most four requests in flight, so it times small
+  // batches, never the full ones an overload forms. Graceful degradation,
+  // not collapse: typed sheds, and successful-request p99 bounded by the
   // queue-cap/deadline budget instead of growing with the backlog.
   const std::vector<LoadRequest> overload_requests =
       MakeLoadRequests(harness, open_requests, 47);

@@ -95,11 +95,12 @@ int main() {
   std::printf("snapshot rebuilt from checkpoint file\n");
 
   // 4. Serve it: a RecommendationEngine coalesces concurrent clients into
-  //    batches. Results are bit-identical to one-at-a-time scoring no
-  //    matter how requests get batched together.
+  //    batches. It never waits for more requests: a free dispatcher scores
+  //    whatever is queued, and requests that arrive meanwhile form the next
+  //    batch, so batches grow with load. Results are bit-identical to
+  //    one-at-a-time scoring no matter how requests get batched together.
   serve::EngineOptions engine_options;
   engine_options.max_batch_size = 16;
-  engine_options.batch_deadline_ms = 1.0;
   serve::RecommendationEngine engine(snapshot.value().get(), engine_options);
 
   constexpr int kClients = 4;

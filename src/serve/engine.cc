@@ -12,17 +12,25 @@
 namespace delrec::serve {
 namespace {
 
-constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
+using Clock = std::chrono::steady_clock;
+
+constexpr auto kNoDeadline = Clock::time_point::max();
 
 /// Arrival-relative budget → absolute deadline. A non-positive budget means
-/// "no deadline" (never sheds).
-std::chrono::steady_clock::time_point DeadlineFor(
-    std::chrono::steady_clock::time_point arrival, double request_ms,
-    double default_ms) {
+/// "no deadline" (never sheds), and so does one that cannot end before
+/// kNoDeadline (1e300 ms, +inf). The budget is compared in floating-point
+/// clock ticks first: converting such a budget to integer ticks overflows.
+Clock::time_point DeadlineFor(Clock::time_point arrival, double request_ms,
+                              double default_ms) {
   const double budget_ms = request_ms > 0.0 ? request_ms : default_ms;
   if (budget_ms <= 0.0) return kNoDeadline;
-  return arrival + std::chrono::microseconds(
-                       static_cast<int64_t>(budget_ms * 1000.0));
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double, std::milli>(budget_ms))
+                           .count();
+  if (!(ticks < static_cast<double>((kNoDeadline - arrival).count()))) {
+    return kNoDeadline;
+  }
+  return arrival + Clock::duration(static_cast<Clock::rep>(ticks));
 }
 
 ScoreResponse Rejection(util::Status status) {
@@ -186,28 +194,17 @@ void RecommendationEngine::RecordQueueWaitLocked(Clock::duration wait) {
 }
 
 void RecommendationEngine::DispatcherLoop() {
-  const auto deadline_budget = std::chrono::microseconds(
-      static_cast<int64_t>(options_.batch_deadline_ms * 1000.0));
   const size_t max_batch = static_cast<size_t>(options_.max_batch_size);
   while (true) {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) return;  // stopping_ and fully drained.
 
-    // Linger for more requests so concurrent clients coalesce into one
-    // batched forward — but never past the deadline, and not at all once
-    // the batch is full or shutdown begins.
-    if (deadline_budget.count() > 0 && queue_.size() < max_batch &&
-        !stopping_) {
-      const auto deadline = Clock::now() + deadline_budget;
-      cv_.wait_until(lock, deadline, [this, max_batch] {
-        return stopping_ || queue_.size() >= max_batch;
-      });
-    }
-
-    // Form the batch in FIFO order, shedding requests whose deadline lapsed
-    // while they queued — scoring them now would only return a result the
-    // client has already given up on, at the expense of live requests.
+    // Work-conserving: take what is queued now; requests arriving during
+    // this ScoreBatch form the next batch (DESIGN.md §11). Form it in FIFO
+    // order, shedding requests whose deadline lapsed while they queued —
+    // scoring them now would only return a result the client has already
+    // given up on, at the expense of live requests.
     const auto now = Clock::now();
     std::vector<Pending> batch;
     std::vector<Pending> expired;

@@ -22,11 +22,11 @@ namespace delrec::serve {
 struct EngineOptions {
   /// Most requests coalesced into one Scorer::ScoreBatch call.
   int64_t max_batch_size = 16;
-  /// How long the dispatcher lingers for more requests once it holds at
-  /// least one (0 = dispatch whatever is queued immediately). Bounds p99
-  /// latency under light load; under heavy load batches fill before the
-  /// deadline and it never applies.
-  double batch_deadline_ms = 1.0;
+  /// Has no effect: dispatch is work-conserving, so the dispatcher never
+  /// lingers for more requests (see RecommendationEngine). Still declared
+  /// and validated (>= 0) only because servebench sets it; it goes once
+  /// servebench stops setting it.
+  double batch_deadline_ms = 0.0;
   /// Admission cap: a request arriving while this many are already queued
   /// is shed immediately with kUnavailable instead of growing the queue
   /// without bound. 0 = unbounded (no admission control).
@@ -58,8 +58,10 @@ struct ScoreResponse {
 
 /// A thread-safe serving front-end over one Scorer: concurrent clients
 /// submit ScoreRequests, a single dispatcher thread coalesces them (up to
-/// max_batch_size, waiting at most batch_deadline_ms) and drives the
-/// scorer's batched path.
+/// max_batch_size) and drives the scorer's batched path. Dispatch is
+/// work-conserving: a free dispatcher takes whatever is queued at once and
+/// never waits for more; requests that arrive during one ScoreBatch call
+/// form the next batch, so batch size follows load without a timer.
 ///
 /// Determinism contract: results are independent of batching. The engine
 /// dispatches requests in FIFO arrival order, and the Scorer contract

@@ -1,7 +1,6 @@
 #ifndef DELREC_SERVE_SNAPSHOT_HANDLE_H_
 #define DELREC_SERVE_SNAPSHOT_HANDLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -14,13 +13,15 @@ namespace delrec::serve {
 
 /// RCU-style publication point for the scorer a serve tier runs against.
 ///
-/// Readers (engine dispatchers) call Acquire() on every batch: one atomic
-/// shared_ptr load, no mutex, never blocked by a publisher. Publishers build
-/// the next EngineSnapshot off to the side and Publish() it: a single atomic
-/// store. In-flight batches keep scoring on the shared_ptr they already
-/// acquired — the old snapshot stays alive until its last batch drops the
-/// reference — while every batch formed after the store scores on the new
-/// one. No request ever observes a half-swapped state, and nothing pauses.
+/// Readers (engine dispatchers) call Acquire() on every batch. Publishers
+/// build the next EngineSnapshot off to the side and Publish() it. Both
+/// hold one mutex only for a shared_ptr copy or swap, never for scoring or
+/// freeing a snapshot. (Not std::atomic<std::shared_ptr>: libstdc++ 12's
+/// load releases its lock bit relaxed, a race ThreadSanitizer reports.)
+/// In-flight batches keep scoring on the shared_ptr they already acquired —
+/// the old snapshot stays alive until its last batch drops the reference —
+/// while every batch formed after the swap scores on the new one. No
+/// request ever observes a half-swapped state, and nothing pauses.
 ///
 /// Every published scorer gets a monotonically increasing version (the
 /// initial scorer is version 1). Engines tag each response with the version
@@ -34,44 +35,40 @@ class SnapshotHandle {
     uint64_t version = 0;
   };
 
-  explicit SnapshotHandle(std::shared_ptr<const Scorer> initial) {
-    DELREC_CHECK(initial != nullptr);
-    current_.store(
-        std::make_shared<const Tagged>(Tagged{std::move(initial), 1}),
-        std::memory_order_release);
+  explicit SnapshotHandle(std::shared_ptr<const Scorer> initial)
+      : current_{std::move(initial), 1} {
+    DELREC_CHECK(current_.scorer != nullptr);
   }
 
   SnapshotHandle(const SnapshotHandle&) = delete;
   SnapshotHandle& operator=(const SnapshotHandle&) = delete;
 
-  /// Current scorer + version. Wait-free for readers; the returned
-  /// shared_ptr keeps the snapshot alive for as long as the caller scores
-  /// against it, regardless of concurrent Publish() calls.
+  /// Current scorer + version. The returned shared_ptr keeps the snapshot
+  /// alive for as long as the caller scores against it, regardless of
+  /// concurrent Publish() calls.
   Tagged Acquire() const {
-    return *current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return current_;
   }
 
-  /// Atomically swaps in `next` and returns its version. Publishers are
-  /// serialized against each other (versions stay dense and monotonic);
-  /// readers are never blocked.
+  /// Swaps in `next` and returns its version; versions stay dense and
+  /// monotonic across concurrent publishers.
   uint64_t Publish(std::shared_ptr<const Scorer> next) {
     DELREC_CHECK(next != nullptr);
-    std::lock_guard<std::mutex> lock(publish_mutex_);
-    const uint64_t version =
-        current_.load(std::memory_order_acquire)->version + 1;
-    current_.store(std::make_shared<const Tagged>(Tagged{std::move(next),
-                                                         version}),
-                   std::memory_order_release);
-    return version;
+    std::shared_ptr<const Scorer> replaced;  // Released after the unlock.
+    std::lock_guard<std::mutex> lock(mutex_);
+    replaced = std::exchange(current_.scorer, std::move(next));
+    return ++current_.version;
   }
 
   uint64_t version() const {
-    return current_.load(std::memory_order_acquire)->version;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return current_.version;
   }
 
  private:
-  std::atomic<std::shared_ptr<const Tagged>> current_;
-  std::mutex publish_mutex_;  // Serializes publishers only.
+  mutable std::mutex mutex_;
+  Tagged current_;  // Guarded by mutex_.
 };
 
 }  // namespace delrec::serve

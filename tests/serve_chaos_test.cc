@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -425,6 +426,92 @@ TEST_F(ServeChaosTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
 
   EXPECT_TRUE(in_flight.get().status.ok());
   EXPECT_EQ(expired.get().status.code(), Status::Code::kDeadlineExceeded);
+}
+
+// Budgets too long to end before steady_clock's last time point — 1e13 ms
+// already overflows int64 nanoseconds — mean no deadline, per request and
+// as the engine default. Converted to integer ticks they overflow
+// (undefined behaviour; -DDELREC_SANITIZE=undefined with
+// UBSAN_OPTIONS=halt_on_error=1 stops on it) and wrap the deadline into the
+// past, shedding every such request at once.
+TEST_F(ServeChaosTest, HugeDeadlinesMeanNoDeadline) {
+  using Limits = std::numeric_limits<double>;
+  FakeScorer scorer(1.0f);
+  serve::EngineOptions options;
+  options.default_deadline_ms = Limits::infinity();
+  ASSERT_TRUE(options.Validate().ok());
+  serve::RecommendationEngine engine(&scorer, options);
+
+  const std::vector<double> budgets = {1e13, 1e300, Limits::max(),
+                                       Limits::infinity(),
+                                       0.0 /* inherits the +inf default */};
+  std::vector<serve::ScoreRequest> sent;
+  std::vector<std::future<serve::ScoreResponse>> futures;
+  for (size_t i = 0; i < budgets.size(); ++i) {
+    serve::ScoreRequest request = MakeRequest(static_cast<int64_t>(i));
+    request.deadline_ms = budgets[i];
+    sent.push_back(request);
+    futures.push_back(engine.ScoreAsync(std::move(request)));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const serve::ScoreResponse response = futures[i].get();
+    ASSERT_TRUE(response.status.ok())
+        << "deadline_ms=" << budgets[i] << ": " << response.status.ToString();
+    EXPECT_EQ(response.scores, scorer.Score(sent[i]));
+  }
+  const serve::RecommendationEngine::Stats stats = engine.GetStats();
+  EXPECT_EQ(stats.scored, budgets.size());
+  EXPECT_EQ(stats.shed_deadline, 0u);
+}
+
+// Dispatch is work-conserving: a lone request on an idle engine is scored
+// at once, whatever batch_deadline_ms says — an engine that lingered would
+// hold it for the whole minute.
+TEST_F(ServeChaosTest, LoneRequestIsNotHeldForMoreArrivals) {
+  FakeScorer scorer(1.0f);
+  serve::EngineOptions options;
+  options.batch_deadline_ms = 60000.0;
+  serve::RecommendationEngine engine(&scorer, options);
+
+  const serve::ScoreRequest request = MakeRequest(3);
+  std::future<serve::ScoreResponse> future = engine.ScoreAsync(request);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "a lone request waited for followers on an idle engine";
+  const serve::ScoreResponse response = future.get();
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.scores, scorer.Score(request));
+}
+
+// Without a linger, batches still grow with load: whatever queues while the
+// dispatcher is busy goes out in FIFO batches of up to max_batch_size once
+// it is free — here 9 queued requests behind a max_batch_size = 4 engine
+// leave as 4 + 4 + 1.
+TEST_F(ServeChaosTest, RequestsQueuedDuringABatchFormTheNextBatches) {
+  GatedScorer scorer(1.0f);
+  serve::EngineOptions options;
+  options.max_batch_size = 4;
+  serve::RecommendationEngine engine(&scorer, options);
+
+  std::vector<serve::ScoreRequest> sent = {MakeRequest(0)};
+  std::vector<std::future<serve::ScoreResponse>> futures;
+  futures.push_back(engine.ScoreAsync(sent.front()));
+  scorer.AwaitEntered(1);  // The dispatcher is now busy with a batch of 1.
+  for (int64_t i = 1; i <= 9; ++i) {
+    sent.push_back(MakeRequest(i));
+    futures.push_back(engine.ScoreAsync(sent.back()));
+  }
+  scorer.Open();
+
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const serve::ScoreResponse response = futures[i].get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.scores, scorer.Score(sent[i])) << "i=" << i;
+  }
+  const serve::RecommendationEngine::Stats stats = engine.GetStats();
+  EXPECT_EQ(stats.requests, 10u);
+  EXPECT_EQ(stats.batches, 4u);  // 1, then 4 + 4 + 1.
+  EXPECT_EQ(stats.max_batch, 4u);
 }
 
 // Concurrent ScoreAsync + Shutdown + destruction: whatever the interleaving,

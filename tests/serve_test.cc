@@ -332,7 +332,6 @@ TEST_F(ServeTest, EngineAsyncAndShutdownDrainQueue) {
   const auto snapshot = Snapshot();
   serve::EngineOptions options;
   options.max_batch_size = 3;
-  options.batch_deadline_ms = 50.0;  // Force coalescing of the burst.
   auto engine =
       std::make_unique<serve::RecommendationEngine>(snapshot.get(), options);
   const std::vector<serve::ScoreRequest> requests = MakeRequests(7);
