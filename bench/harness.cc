@@ -380,6 +380,11 @@ void BeginBench(const std::string& name) { BenchRecorder::Global().Begin(name); 
 
 int FinishBench() { return BenchRecorder::Global().Finish(); }
 
+bool GemmHasSimdTiles() {
+  const std::string isa = nn::GemmKernelIsa();
+  return isa == "avx512" || isa == "avx2";
+}
+
 int64_t RecordPeakRss(const std::string& name) {
   const int64_t peak = util::PeakRssBytes();
   BenchRecorder::Global().Record(name + "_bytes",

@@ -98,6 +98,12 @@ class BenchRecorder {
 void BeginBench(const std::string& name);
 int FinishBench();
 
+/// True when the fp32 GEMM dispatches a SIMD tile (nn::GemmKernelIsa() is
+/// "avx512" or "avx2"). Wall-clock speedup floors bind at full strength only
+/// there; the "sse2" and "portable" scalar tiles reorganize the same
+/// arithmetic without wider registers and gate a relaxed floor.
+bool GemmHasSimdTiles();
+
 /// Records the process peak RSS (VmHWM from /proc/self/status) as
 /// "<name>_bytes" in the bench record and returns it. Peak RSS includes
 /// binary, heap, and resident mapped pages — exactly what an out-of-core

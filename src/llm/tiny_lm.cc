@@ -7,15 +7,9 @@
 #include "nn/gemm.h"
 #include "nn/gemm_int8.h"
 #include "nn/ops.h"
+#include "nn/vecmath.h"
 #include "util/check.h"
 #include "util/threadpool.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define DELREC_TINY_LM_X86 1
-#include <immintrin.h>
-#else
-#define DELREC_TINY_LM_X86 0
-#endif
 
 namespace delrec::llm {
 
@@ -175,74 +169,6 @@ void GeluInPlace(float* x, int64_t n) {
   }
 }
 
-// GELU for the quantized inference path: same tanh-form expression, but the
-// tanh core is the Padé(7,6) rational approximant with the argument clamped
-// to ±4.97 (beyond which the approximant and tanh both read as ±1 at fp32).
-// Max |gelu error| is ~1.9e-4 over the full input range — two orders of
-// magnitude below the int8 activation quantization step — while replacing
-// the ~25ns/element libm tanh with vectorizable float arithmetic. The fp32
-// serve path keeps std::tanh (GeluInPlace) so its scores stay bit-identical
-// to training-time numerics; the int8 path is tolerance-gated
-// (tests/quant_parity_test.cc), which covers this approximation too.
-inline float GeluPadeScalar(float v) {
-  constexpr float kSqrt2OverPi = 0.7978845608f;
-  constexpr float kCoeff = 0.044715f;
-  float t = kSqrt2OverPi * (v + kCoeff * v * v * v);
-  t = std::min(4.97f, std::max(-4.97f, t));
-  const float t2 = t * t;
-  const float p = t * (135135.0f + t2 * (17325.0f + t2 * (378.0f + t2)));
-  const float q =
-      135135.0f + t2 * (62370.0f + t2 * (3150.0f + t2 * 28.0f));
-  return 0.5f * v * (1.0f + p / q);
-}
-
-#if DELREC_TINY_LM_X86
-__attribute__((target("avx2,fma"))) void GeluApproxRowsAvx2(float* x,
-                                                            int64_t n) {
-  const __m256 ks = _mm256_set1_ps(0.7978845608f);
-  const __m256 kc = _mm256_set1_ps(0.044715f);
-  const __m256 clamp = _mm256_set1_ps(4.97f);
-  const __m256 c0 = _mm256_set1_ps(135135.0f);
-  const __m256 c1 = _mm256_set1_ps(17325.0f);
-  const __m256 c2 = _mm256_set1_ps(378.0f);
-  const __m256 d1 = _mm256_set1_ps(62370.0f);
-  const __m256 d2 = _mm256_set1_ps(3150.0f);
-  const __m256 d3 = _mm256_set1_ps(28.0f);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    __m256 t = _mm256_mul_ps(
-        ks, _mm256_fmadd_ps(_mm256_mul_ps(_mm256_mul_ps(v, v), v), kc, v));
-    t = _mm256_max_ps(_mm256_sub_ps(_mm256_setzero_ps(), clamp),
-                      _mm256_min_ps(clamp, t));
-    const __m256 t2 = _mm256_mul_ps(t, t);
-    const __m256 p = _mm256_mul_ps(
-        t, _mm256_fmadd_ps(
-               t2, _mm256_fmadd_ps(t2, _mm256_add_ps(c2, t2), c1), c0));
-    const __m256 q = _mm256_fmadd_ps(
-        t2, _mm256_fmadd_ps(t2, _mm256_fmadd_ps(t2, d3, d2), d1), c0);
-    _mm256_storeu_ps(
-        x + i, _mm256_mul_ps(_mm256_mul_ps(half, v),
-                             _mm256_add_ps(one, _mm256_div_ps(p, q))));
-  }
-  for (; i < n; ++i) x[i] = GeluPadeScalar(x[i]);
-}
-#endif  // DELREC_TINY_LM_X86
-
-void GeluInPlaceApprox(float* x, int64_t n) {
-#if DELREC_TINY_LM_X86
-  static const bool avx2 =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  if (avx2) {
-    GeluApproxRowsAvx2(x, n);
-    return;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) x[i] = GeluPadeScalar(x[i]);
-}
-
 // Carves an int8 activation buffer out of the fp32 arena: `floats` worth of
 // rows × packed_depth bytes, rounded up to whole floats.
 int8_t* AllocInt8(util::ScopedArena& arena, int64_t bytes) {
@@ -280,6 +206,17 @@ void TinyLmBlock::AttendSpans(const float* q, const float* k,
   // by the span's fresh rows, which is the identical s×(P+s) computation
   // the boundary pass runs for its suffix rows.
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  // Softmax of the scaled logits, in place. An int8 block takes the
+  // vectorized kernel (nn/vecmath.h), which folds the scale in; the fp32
+  // path keeps nn::Softmax's std::exp arithmetic bit for bit.
+  const auto softmax = [this, scale](float* rows, int64_t n, int64_t c) {
+    if (quant_) {
+      nn::ApproxSoftmaxRows(rows, n, c, scale);
+      return;
+    }
+    for (int64_t i = 0; i < n * c; ++i) rows[i] *= scale;
+    SoftmaxRowsInPlace(rows, n, c);
+  };
   const int64_t cached = prefix_kv != nullptr ? prefix_kv->length : 0;
   std::vector<float*> scratch(spans.size());
   for (size_t s = 0; s < spans.size(); ++s) {
@@ -326,8 +263,7 @@ void TinyLmBlock::AttendSpans(const float* q, const float* k,
               // Frozen head: rows [0, p) attend among themselves.
               nn::GemmNT(qh, kh, logits, p, p, head_dim_,
                          /*accumulate=*/false);
-              for (int64_t i = 0; i < p * p; ++i) logits[i] *= scale;
-              SoftmaxRowsInPlace(logits, p, p);
+              softmax(logits, p, p);
               nn::GemmNN(logits, vh, head_out, p, head_dim_, p,
                          /*accumulate=*/false);
             }
@@ -337,8 +273,7 @@ void TinyLmBlock::AttendSpans(const float* q, const float* k,
               float* slogits = logits + p * p;
               nn::GemmNT(qh + p * head_dim_, kh, slogits, suffix, ctx,
                          head_dim_, /*accumulate=*/false);
-              for (int64_t i = 0; i < suffix * ctx; ++i) slogits[i] *= scale;
-              SoftmaxRowsInPlace(slogits, suffix, ctx);
+              softmax(slogits, suffix, ctx);
               nn::GemmNN(slogits, vh, head_out + p * head_dim_, suffix,
                          head_dim_, ctx, /*accumulate=*/false);
             }
@@ -383,11 +318,11 @@ void TinyLmBlock::ForwardBatchInference(const float* x, int64_t total,
                                         float* capture_k,
                                         float* capture_v) const {
   // One stage order for the fp32 and int8 weights: only the dense
-  // projections (Dense) and the GELU differ. LayerNorm and attention stay
-  // fp32 on both — quantizing softmax inputs would cost accuracy for no
-  // footprint win — and the int8 path's GELU is the vectorized Padé
-  // approximation: at serve-scale widths libm tanh would otherwise rival
-  // the projections themselves.
+  // projections (Dense), the attention softmax and the GELU differ.
+  // LayerNorm and attention stay fp32 on both — quantizing softmax inputs
+  // would cost accuracy for no footprint win — and the int8 path's softmax
+  // and GELU are the vectorized approximations of nn/vecmath.h: at serve
+  // widths libm exp and tanh would otherwise rival the projections.
   const int64_t d = num_heads_ * head_dim_;
   const int64_t f = ffn_in_.out_features();
   float* normed = arena.Alloc(total * d);
@@ -422,7 +357,7 @@ void TinyLmBlock::ForwardBatchInference(const float* x, int64_t total,
   Dense(ff_in_rows, total, ffn_in_, lora_ffn_in_.get(),
         &QuantWeights::ffn_in, hidden, arena);
   if (quant_) {
-    GeluInPlaceApprox(hidden, total * f);
+    nn::ApproxGelu(hidden, total * f);
   } else {
     GeluInPlace(hidden, total * f);
   }

@@ -125,9 +125,9 @@ class TinyLmBlock : public nn::Module {
   /// Builds the int8 serving weights (DESIGN.md §13): merges any adapters
   /// into their base matrices and quantizes all six dense projections
   /// per-output-channel. Idempotent; after this, ForwardBatchInference
-  /// routes its dense GEMMs through nn::Int8Gemm and its GELU through the
-  /// Padé approximation, while LayerNorm and attention stay fp32. Forward()
-  /// keeps reading the fp32 parameters.
+  /// routes its dense GEMMs through nn::Int8Gemm and its attention softmax
+  /// and GELU through the nn/vecmath.h approximations, while LayerNorm and
+  /// attention stay fp32. Forward() keeps reading the fp32 parameters.
   void QuantizeForInference();
 
   /// Bytes of weights the batched inference path reads: fp32 LN affines and

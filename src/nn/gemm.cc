@@ -51,9 +51,11 @@ void GemmRows(int64_t m, int64_t n, int64_t k,
 // -- Microkernel tiles --------------------------------------------------------
 // All full tiles share one signature so the ISA is picked once per GEMM call
 // (function-pointer dispatch via __builtin_cpu_supports); the drivers and
-// edge tiles are ISA-agnostic scalar code. Per output element every variant
-// accumulates ascending p into a single chain from the same start value, so
-// lane width never changes results — vector lanes are distinct C columns.
+// row-remainder edge tiles are ISA-agnostic scalar code, while column edges
+// of packed B run the full tiles on zero-padded panels (ViaLocalTile). Per
+// output element every variant accumulates ascending p into a single chain
+// from the same start value, so lane width never changes results — vector
+// lanes are distinct C columns.
 //
 // NN/TN tiles come in two zero-handling flavours with reference semantics:
 // `skip` replicates the reference's per-(row, p) `a == 0.0f` skip (it is
@@ -524,8 +526,9 @@ const TileSet& PickTiles() {
 // they differ only in how A is addressed: A(i,p) = a[i·a_i_stride +
 // p·a_p_stride] (NN: strides (k,1); TN with A stored (K,M): strides (1,m)).
 
-// Remainder tile (mr < MR and/or nr < NR): same accumulation structure with
-// runtime bounds; always uses the skip form (identical on zero-free data).
+// Remainder tile (mr < MR, or nr < NR on an unpacked panel): same
+// accumulation structure with runtime bounds; always uses the skip form
+// (identical on zero-free data).
 void MicroTileEdge(const float* a, int64_t a_i_stride, int64_t a_p_stride,
                    const float* bpanel, int64_t b_p_stride, float* c,
                    int64_t n, int64_t k, int64_t i0, int mr, int64_t j0,
@@ -542,6 +545,27 @@ void MicroTileEdge(const float* a, int64_t a_i_stride, int64_t a_p_stride,
       for (int jr = 0; jr < nr; ++jr) acc[jr] += av * bp[jr];
     }
     for (int jr = 0; jr < nr; ++jr) cr[jr] = acc[jr];
+  }
+}
+
+// A full row tile on a zero-padded edge panel (nr < NR): `tile` writes an
+// MR×NR block at row stride NR into a local C tile seeded from the nr valid
+// columns of C, and only those columns are copied back. Each valid lane runs
+// the same chain it would in the scalar edge; the padded lanes see B = 0 and
+// are discarded.
+template <typename Tile>
+void ViaLocalTile(float* c, int64_t n, int64_t i0, int64_t j0, int nr,
+                  bool accumulate, const Tile& tile) {
+  float local[MR * NR] = {};
+  float* corner = c + i0 * n + j0;
+  if (accumulate) {
+    for (int r = 0; r < MR; ++r) {
+      std::copy(corner + r * n, corner + r * n + nr, local + r * NR);
+    }
+  }
+  tile(local);
+  for (int r = 0; r < MR; ++r) {
+    std::copy(local + r * NR, local + r * NR + nr, corner + r * n);
   }
 }
 
@@ -562,21 +586,30 @@ struct AxBContext {
 };
 
 void AxBRows(const AxBContext& ctx, int64_t row_begin, int64_t row_end) {
+  // Full row tiles run the ISA tile on every full panel, and on the edge
+  // panel too once packing has zero-padded it.
+  const bool packed = ctx.packed != nullptr;
   for (int64_t i = row_begin; i < row_end; i += MR) {
     const int mr = static_cast<int>(std::min<int64_t>(MR, row_end - i));
     const bool dense =
-        mr == MR && ctx.n >= NR &&
+        mr == MR && (packed || ctx.n >= NR) &&
         !ctx.has_zero(ctx.a, ctx.a_i_stride, ctx.a_p_stride, i, ctx.k);
+    const TileFn tile = dense ? ctx.dense : ctx.skip;
     for (int64_t jb = 0; jb < ctx.num_panels; ++jb) {
       const int64_t j0 = jb * NR;
       const int nr = static_cast<int>(std::min<int64_t>(NR, ctx.n - j0));
-      const float* bpanel =
-          ctx.packed != nullptr ? ctx.packed + jb * ctx.k * NR : ctx.b + j0;
-      const int64_t b_p_stride = ctx.packed != nullptr ? NR : ctx.n;
+      const float* bpanel = packed ? ctx.packed + jb * ctx.k * NR : ctx.b + j0;
+      const int64_t b_p_stride = packed ? NR : ctx.n;
       if (mr == MR && nr == NR) {
-        (dense ? ctx.dense : ctx.skip)(ctx.a, ctx.a_i_stride, ctx.a_p_stride,
-                                       bpanel, b_p_stride, ctx.c, ctx.n,
-                                       ctx.k, i, j0, ctx.accumulate);
+        tile(ctx.a, ctx.a_i_stride, ctx.a_p_stride, bpanel, b_p_stride, ctx.c,
+             ctx.n, ctx.k, i, j0, ctx.accumulate);
+      } else if (mr == MR && packed) {
+        ViaLocalTile(ctx.c, ctx.n, i, j0, nr, ctx.accumulate,
+                     [&](float* local) {
+                       tile(ctx.a + i * ctx.a_i_stride, ctx.a_i_stride,
+                            ctx.a_p_stride, bpanel, NR, local, NR, ctx.k,
+                            /*i0=*/0, /*j0=*/0, ctx.accumulate);
+                     });
       } else {
         MicroTileEdge(ctx.a, ctx.a_i_stride, ctx.a_p_stride, bpanel,
                       b_p_stride, ctx.c, ctx.n, ctx.k, i, mr, j0, nr,
@@ -594,20 +627,22 @@ void BlockedAxB(const float* a, int64_t a_i_stride, int64_t a_p_stride,
   const TileSet& tiles = PickTiles();
   // Pack B into contiguous NR-wide panels once per call when enough row
   // tiles will reuse it (the pack is one extra pass over B; with few rows
-  // the in-place panel view is cheaper). Edge-panel tail lanes are left
-  // unwritten — only MicroTileEdge touches edge panels and it reads nr
-  // valid lanes. The pack buffer is pooled scratch shared read-only by all
-  // row chunks; ParallelFor joins before the arena releases it.
+  // the in-place panel view is cheaper). Edge-panel lanes past n are zeroed
+  // so full row tiles run the ISA tile there too (ViaLocalTile) — for
+  // n < NR, e.g. attention's A·V with head_dim 8, that is every tile. The
+  // pack buffer is pooled scratch shared read-only by all row chunks;
+  // ParallelFor joins before the arena releases it.
   util::ScopedArena arena;
   AxBContext ctx{a,           a_i_stride, a_p_stride, b, nullptr,       c,
                  n,           k,          num_panels, accumulate,
                  tiles.dense, tiles.skip, tiles.has_zero};
-  if (m >= kGemmPackMinRows && n > NR) {
+  if (m >= kGemmPackMinRows) {
     float* pack = arena.Alloc(static_cast<size_t>(num_panels) * k * NR);
     for (int64_t jb = 0; jb < num_panels; ++jb) {
       const int nr = static_cast<int>(std::min<int64_t>(NR, n - jb * NR));
       float* panel = pack + jb * k * NR;
       const float* bsrc = b + jb * NR;
+      if (nr < NR) std::fill(panel, panel + k * NR, 0.0f);
       for (int64_t p = 0; p < k; ++p) {
         for (int jr = 0; jr < nr; ++jr) {
           panel[p * NR + jr] = bsrc[p * n + jr];
@@ -629,6 +664,7 @@ void BlockedAxB(const float* a, int64_t a_i_stride, int64_t a_p_stride,
 // ascending-p chain with the reference's dot-then-combine association.
 // Small-m calls skip the pack and use MR×4 independent scalar dot chains.
 
+// Row-remainder tile (mr < MR) of the packed path.
 void NtPanelEdge(const float* a, const float* bpanel, float* c, int64_t n,
                  int64_t k, int64_t i0, int mr, int64_t j0, int nr,
                  bool accumulate) {
@@ -669,6 +705,12 @@ void NtPackedRows(const NtContext& ctx, int64_t row_begin, int64_t row_end) {
       const float* bpanel = ctx.packed + jb * ctx.k * NR;
       if (mr == MR && nr == NR) {
         ctx.tile(ctx.a, bpanel, ctx.c, ctx.n, ctx.k, i, j0, ctx.accumulate);
+      } else if (mr == MR) {
+        ViaLocalTile(ctx.c, ctx.n, i, j0, nr, ctx.accumulate,
+                     [&](float* local) {
+                       ctx.tile(ctx.a + i * ctx.k, bpanel, local, NR, ctx.k,
+                                /*i0=*/0, /*j0=*/0, ctx.accumulate);
+                     });
       } else {
         NtPanelEdge(ctx.a, bpanel, ctx.c, ctx.n, ctx.k, i, mr, j0, nr,
                     ctx.accumulate);
@@ -757,11 +799,13 @@ void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t n,
                 PickTiles().nt};
   if (m >= kGemmPackMinRows) {
     // Transpose-pack B so the microkernel reads NR output columns per load;
-    // the pack costs one pass over B, amortized across m/MR row tiles.
+    // the pack costs one pass over B, amortized across m/MR row tiles. The
+    // edge panel's lanes past n are zeroed, as in BlockedAxB.
     float* pack = arena.Alloc(static_cast<size_t>(num_panels) * k * NR);
     for (int64_t jb = 0; jb < num_panels; ++jb) {
       const int nr = static_cast<int>(std::min<int64_t>(NR, n - jb * NR));
       float* panel = pack + jb * k * NR;
+      if (nr < NR) std::fill(panel, panel + k * NR, 0.0f);
       for (int jr = 0; jr < nr; ++jr) {
         const float* bcol = b + (jb * NR + jr) * k;
         for (int64_t p = 0; p < k; ++p) panel[p * NR + jr] = bcol[p];

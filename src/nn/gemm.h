@@ -29,7 +29,11 @@ namespace delrec::nn {
 /// util::BufferPool, shared read-only by every row chunk) whenever the
 /// output has enough rows to amortize the pack; GemmNT transpose-packs B so
 /// its tiles get the same lane-parallel shape while keeping the reference's
-/// dot-then-combine association.
+/// dot-then-combine association. A packed edge panel (the last n %
+/// kGemmColTile columns, or all of them when n < kGemmColTile) is
+/// zero-padded, and full row tiles run the vector tile on it through a
+/// local C tile; only row remainders and unpacked calls take the scalar
+/// edge path.
 ///
 /// The full tiles are hand-written intrinsic kernels (AVX-512F, AVX2, plus
 /// a portable scalar fallback) selected once per GEMM call via

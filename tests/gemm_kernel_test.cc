@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -93,6 +94,37 @@ TEST(GemmKernelTest, BlockedMatchesReferenceBitwiseOverShapeGrid) {
           if (HasFatalFailure()) return;
         }
       }
+    }
+  }
+}
+
+TEST(GemmKernelTest, ServeAttentionShapesMatchBitwise) {
+  // The per-head attention GEMMs of a served teacher at head_dim 8: Q·Kᵀ
+  // (NT) and A·V (NN) for the 69×98 suffix pass and the 29×29 and 11×28
+  // prefix passes. Every A·V output column lies in a panel narrower than 16,
+  // so those run the zero-padded edge tiles; attention probabilities can hold
+  // exact zeros (underflowed exps), hence the zero-bearing A as well.
+  struct Case {
+    const char* variant;
+    int64_t m, n, k;
+  };
+  const Case kCases[] = {{"NN", 69, 8, 98}, {"NT", 69, 98, 8},
+                         {"NT", 29, 29, 8}, {"NN", 29, 8, 29},
+                         {"NT", 11, 28, 8}, {"NN", 11, 8, 28}};
+  util::Rng rng(808);
+  for (const Case& shape : kCases) {
+    const Variant& variant = *std::find_if(
+        std::begin(kVariants), std::end(kVariants), [&](const Variant& v) {
+          return std::string(v.name) == shape.variant;
+        });
+    for (const float zero_fraction : {0.0f, 0.1f}) {
+      const std::vector<float> a =
+          RandomMatrix(shape.m * shape.k, rng, zero_fraction);
+      const std::vector<float> b = RandomMatrix(shape.k * shape.n, rng, 0.0f);
+      const std::vector<float> c_init =
+          RandomMatrix(shape.m * shape.n, rng, 0.0f);
+      ExpectBitIdentical(variant, a, b, shape.m, shape.n, shape.k, c_init);
+      if (HasFatalFailure()) return;
     }
   }
 }
