@@ -25,10 +25,11 @@
 //     QuantizeForInference. This is the committed shape for the int8
 //     tentpole's ≥2× serve-throughput floor, gated where the vpdpbusd tile
 //     dispatches (nn/gemm_int8.h).
-//  5. Prefix-KV-cached vs uncached snapshots across a prompt-shape sweep
-//     (three prefix:suffix ratios). Scores are asserted bit-identical;
-//     the long-prefix shape carries this PR's ≥1.5× cached-vs-uncached
-//     throughput floor and records engine prefix_tokens_skipped.
+//  5. Prefix-KV-cached snapshot scoring vs the uncached TinyLm::EncodeBatch
+//     reference across a prompt-shape sweep (three prefix:suffix ratios).
+//     Scores are asserted bit-identical; the long-prefix shape carries the
+//     ≥1.5× cached-vs-uncached throughput floor and records engine
+//     prefix_tokens_skipped.
 //  6. The two-tier backend sweep (DESIGN.md §16): the teacher is distilled
 //     into a GRU4Rec student through the real export+trainer path, the
 //     student blob is embedded into a rebuilt snapshot, and the same
@@ -55,7 +56,9 @@
 #include "distill/export.h"
 #include "distill/trainer.h"
 #include "eval/protocol.h"
+#include "llm/prompt.h"
 #include "llm/tiny_lm.h"
+#include "llm/verbalizer.h"
 #include "nn/gemm.h"
 #include "nn/gemm_int8.h"
 #include "serve/engine.h"
@@ -351,14 +354,17 @@ void BenchServeScaleInt8(bench::BenchRecorder& recorder) {
 /// Section 5: the prefix KV cache (DESIGN.md §15) across three prompt
 /// shapes — prefix:suffix ratios from suffix-heavy to prefix-heavy, steered
 /// by soft_prompt_count (prefix length) and history_length (suffix length).
-/// Each shape freezes two snapshots of the same untrained model (wall-clock
-/// is weight-independent, like section 4) differing only in
-/// enable_prefix_cache, asserts their scores are bit-identical on the full
-/// request set, and times batched serving both ways. Counts (prefix length,
-/// engine tokens skipped) are deterministic and baseline-gated; timings are
-/// advisory except the long-prefix shape, which carries this PR's ≥1.5×
-/// cached-vs-uncached acceptance floor — that is the shape the cache exists
-/// for (a shared instruction+pattern-knowledge head dominating the prompt).
+/// Each shape freezes a snapshot of an untrained model (wall-clock is
+/// weight-independent, like section 4). Its ScoreBatch is the cached side.
+/// The uncached side scores the same batches through the snapshot's own
+/// model without the cache: each whole prompt through TinyLm::EncodeBatch
+/// with its frozen-head boundary, then LogitsAtRows and a Verbalizer. Scores
+/// are asserted bit-identical on the full request set before batched
+/// serving is timed both ways. Counts (prefix length, engine tokens
+/// skipped) are deterministic and baseline-gated; timings are advisory
+/// except the long-prefix shape, which carries the ≥1.5× cached-vs-uncached
+/// acceptance floor — that is the shape the cache exists for (a shared
+/// instruction+pattern-knowledge head dominating the prompt).
 void BenchPrefixCache(bench::BenchRecorder& recorder,
                       bench::DatasetHarness& harness,
                       const serve::EngineSnapshot::Sources& sources,
@@ -385,42 +391,71 @@ void BenchPrefixCache(bench::BenchRecorder& recorder,
     core::DelRec model(&harness.workbench().dataset().catalog,
                        &harness.workbench().vocab(), llm.get(),
                        harness.Backbone(srmodels::Backbone::kSasRec), config);
-    auto cached =
-        serve::EngineSnapshot::FromModel(model, *llm, sources);
-    DELREC_CHECK(cached.ok()) << cached.status().ToString();
-    serve::EngineSnapshot::BuildOptions off;
-    off.enable_prefix_cache = false;
-    auto uncached =
-        serve::EngineSnapshot::FromModel(model, *llm, sources, off);
-    DELREC_CHECK(uncached.ok()) << uncached.status().ToString();
-    const int64_t prefix_tokens = cached.value()->CachedPrefixLength();
+    auto built = serve::EngineSnapshot::FromModel(model, *llm, sources);
+    DELREC_CHECK(built.ok()) << built.status().ToString();
+    const serve::EngineSnapshot& snapshot = *built.value();
+    const int64_t prefix_tokens = snapshot.CachedPrefixLength();
     DELREC_CHECK_GT(prefix_tokens, 0);
-    DELREC_CHECK_EQ(uncached.value()->CachedPrefixLength(), 0);
+
+    using Batch = std::vector<serve::ScoreRequest>;
+    const auto cached = [&](const Batch& batch) {
+      return snapshot.ScoreBatch(batch);
+    };
+    const llm::TinyLm& lm = snapshot.llm();
+    const nn::Tensor table = lm.MaterializeTokenTable();
+    const llm::PromptBuilder builder(sources.catalog, sources.vocab);
+    const llm::Verbalizer verbalizer(*sources.catalog, *sources.vocab);
+    const auto uncached = [&](const Batch& batch) {
+      std::vector<llm::Prompt> prompts;
+      for (const serve::ScoreRequest& request : batch) {
+        prompts.push_back(core::inference::BuildScoringPrompt(
+            snapshot.config(), builder, *sources.sr_model,
+            snapshot.soft_prompts(), request.history, request.candidates));
+      }
+      std::vector<const std::vector<llm::PromptPiece>*> pieces;
+      std::vector<int64_t> prefix_lengths;
+      for (const llm::Prompt& prompt : prompts) {
+        pieces.push_back(&prompt.pieces);
+        prefix_lengths.push_back(prompt.prefix_length);
+      }
+      std::vector<llm::SequenceSpan> spans;
+      const nn::Tensor hidden =
+          lm.EncodeBatch(pieces, table, &spans, &prefix_lengths);
+      std::vector<int64_t> mask_rows;
+      for (size_t i = 0; i < prompts.size(); ++i) {
+        mask_rows.push_back(spans[i].begin + prompts[i].mask_position);
+      }
+      const nn::Tensor logits = lm.LogitsAtRows(hidden, mask_rows, table);
+      std::vector<std::vector<float>> scores;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        scores.push_back(verbalizer.ScoresFromRow(
+            logits.data().data() + i * lm.vocab_size(), batch[i].candidates));
+      }
+      return scores;
+    };
 
     // The cache must be invisible in the output: bit-identical scores on
     // the full request set before any timing is trusted.
-    DELREC_CHECK(cached.value()->ScoreBatch(requests) ==
-                 uncached.value()->ScoreBatch(requests))
+    DELREC_CHECK(cached(requests) == uncached(requests))
         << "cached scores diverged from uncached at shape " << shape.name;
 
-    auto timed_batched = [&](const serve::EngineSnapshot& snapshot) {
+    auto timed_batched = [&](const auto& score_batch) {
       util::WallTimer timer;
       for (size_t begin = 0; begin < requests.size();
            begin += static_cast<size_t>(kBatchSize)) {
         const size_t end = std::min(begin + static_cast<size_t>(kBatchSize),
                                     requests.size());
-        snapshot.ScoreBatch(std::vector<serve::ScoreRequest>(
-            requests.begin() + begin, requests.begin() + end));
+        score_batch(Batch(requests.begin() + begin, requests.begin() + end));
       }
       return timer.ElapsedSeconds();
     };
-    timed_batched(*cached.value());  // Warm-up.
-    timed_batched(*uncached.value());
+    timed_batched(cached);  // Warm-up.
+    timed_batched(uncached);
     double cached_s = std::numeric_limits<double>::infinity();
     double uncached_s = std::numeric_limits<double>::infinity();
     for (int pass = 0; pass < kPasses; ++pass) {
-      uncached_s = std::min(uncached_s, timed_batched(*uncached.value()));
-      cached_s = std::min(cached_s, timed_batched(*cached.value()));
+      uncached_s = std::min(uncached_s, timed_batched(uncached));
+      cached_s = std::min(cached_s, timed_batched(cached));
     }
 
     const double n = static_cast<double>(requests.size());
@@ -447,7 +482,7 @@ void BenchPrefixCache(bench::BenchRecorder& recorder,
     // length — deterministic, so it gates against the committed baseline.
     serve::EngineOptions engine_options;
     engine_options.max_batch_size = kBatchSize;
-    serve::RecommendationEngine engine(cached.value().get(), engine_options);
+    serve::RecommendationEngine engine(&snapshot, engine_options);
     for (const serve::ScoreRequest& request : requests) {
       engine.ScoreCandidates(request.history, request.candidates);
     }

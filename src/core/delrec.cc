@@ -136,26 +136,6 @@ std::vector<llm::PromptPiece> BuildScoringPrefix(
 
 }  // namespace inference
 
-std::vector<int64_t> DelRec::PromptCandidates(
-    const std::vector<int64_t>& candidates) const {
-  return inference::PromptCandidates(config_, candidates);
-}
-
-std::vector<int64_t> DelRec::Window(
-    const std::vector<int64_t>& history) const {
-  return inference::WindowHistory(config_, history);
-}
-
-nn::Tensor DelRec::ActiveSoftPrompts() const {
-  return inference::ActiveSoftPrompts(config_, soft_prompts_);
-}
-
-std::vector<int64_t> DelRec::ActiveHintTokens(
-    const std::vector<int64_t>& history) const {
-  return inference::ActiveHintTokens(config_, prompt_builder_, *sr_model_,
-                                     history);
-}
-
 util::Status DelRec::DistillPattern(
     const std::vector<data::Example>& train_examples) {
   return DistillPatternImpl(train_examples, nullptr, nullptr);
@@ -236,7 +216,8 @@ util::Status DelRec::DistillPatternImpl(
       std::vector<nn::Tensor> rps_losses;
       for (size_t i = start; i < end; ++i) {
         const data::Example& example = examples[order[i]];
-        const std::vector<int64_t> history = Window(example.history);
+        const std::vector<int64_t> history =
+            inference::WindowHistory(config_, example.history);
         // Temporal Analysis: PMRI on histories long enough for ICL + mask.
         if (!config_.disable_temporal_analysis &&
             static_cast<int64_t>(history.size()) >= 4) {
@@ -495,10 +476,9 @@ util::Status DelRec::FineTuneImpl(
       std::vector<nn::Tensor> losses;
       for (size_t i = start; i < end; ++i) {
         const data::Example& example = examples[order[i]];
-        const std::vector<int64_t> history = Window(example.history);
-        llm::Prompt prompt = prompt_builder_.BuildRecommendation(
-            history, {}, ActiveSoftPrompts(), ActiveHintTokens(history),
-            nn::Tensor());
+        const llm::Prompt prompt = inference::BuildScoringPrompt(
+            config_, prompt_builder_, *sr_model_, soft_prompts_,
+            example.history, /*candidates=*/{});
         nn::Tensor hidden = llm_->Encode(prompt.pieces, config_.dropout, rng,
                                          prompt.prefix_length);
         // Full-catalog softmax supervision through the verbalizer — the

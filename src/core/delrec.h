@@ -230,19 +230,6 @@ class DelRec {
                             const std::string* checkpoint_path,
                             const TrainState* resume);
 
-  /// Soft-prompt tensor to insert for the current configuration (undefined
-  /// tensor when soft prompts are ablated away).
-  nn::Tensor ActiveSoftPrompts() const;
-  /// Auxiliary textual channel for the stage-2 prompt: the conventional
-  /// model's top-h (when sr_hints_in_stage2) and/or the "w MCP" description.
-  std::vector<int64_t> ActiveHintTokens(
-      const std::vector<int64_t>& history) const;
-  /// Candidate ids to render into the prompt (empty unless configured).
-  std::vector<int64_t> PromptCandidates(
-      const std::vector<int64_t>& candidates) const;
-  /// Truncates a history to the configured length.
-  std::vector<int64_t> Window(const std::vector<int64_t>& history) const;
-
   const data::CatalogView* catalog_;
   llm::TinyLm* llm_;
   srmodels::SequentialRecommender* sr_model_;

@@ -140,35 +140,6 @@ nn::Tensor TinyLmBlock::Forward(const nn::Tensor& x, util::Rng& rng,
 
 namespace {
 
-// In-place row-wise softmax mirroring ops.cc's SoftmaxRows arithmetic
-// exactly (row max, exp, denom accumulated in column order, multiply by the
-// rounded reciprocal) so batched attention matches nn::Softmax bit-for-bit.
-void SoftmaxRowsInPlace(float* x, int64_t n, int64_t c) {
-  for (int64_t i = 0; i < n; ++i) {
-    float* row = x + i * c;
-    float mx = row[0];
-    for (int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
-    float denom = 0.0f;
-    for (int64_t j = 0; j < c; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      denom += row[j];
-    }
-    const float inv = 1.0f / denom;
-    for (int64_t j = 0; j < c; ++j) row[j] *= inv;
-  }
-}
-
-// In-place tanh-approximation GELU, the same expression as nn::Gelu.
-void GeluInPlace(float* x, int64_t n) {
-  constexpr float kSqrt2OverPi = 0.7978845608f;
-  constexpr float kCoeff = 0.044715f;
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    const float inner = kSqrt2OverPi * (v + kCoeff * v * v * v);
-    x[i] = 0.5f * v * (1.0f + std::tanh(inner));
-  }
-}
-
 // Carves an int8 activation buffer out of the fp32 arena: `floats` worth of
 // rows × packed_depth bytes, rounded up to whole floats.
 int8_t* AllocInt8(util::ScopedArena& arena, int64_t bytes) {
@@ -208,14 +179,14 @@ void TinyLmBlock::AttendSpans(const float* q, const float* k,
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   // Softmax of the scaled logits, in place. An int8 block takes the
   // vectorized kernel (nn/vecmath.h), which folds the scale in; the fp32
-  // path keeps nn::Softmax's std::exp arithmetic bit for bit.
+  // path scales as nn::MulScalar does and runs nn::Softmax's own kernel.
   const auto softmax = [this, scale](float* rows, int64_t n, int64_t c) {
     if (quant_) {
       nn::ApproxSoftmaxRows(rows, n, c, scale);
       return;
     }
     for (int64_t i = 0; i < n * c; ++i) rows[i] *= scale;
-    SoftmaxRowsInPlace(rows, n, c);
+    nn::SoftmaxRows(rows, n, c, rows);
   };
   const int64_t cached = prefix_kv != nullptr ? prefix_kv->length : 0;
   std::vector<float*> scratch(spans.size());
@@ -320,9 +291,10 @@ void TinyLmBlock::ForwardBatchInference(const float* x, int64_t total,
   // One stage order for the fp32 and int8 weights: only the dense
   // projections (Dense), the attention softmax and the GELU differ.
   // LayerNorm and attention stay fp32 on both — quantizing softmax inputs
-  // would cost accuracy for no footprint win — and the int8 path's softmax
-  // and GELU are the vectorized approximations of nn/vecmath.h: at serve
-  // widths libm exp and tanh would otherwise rival the projections.
+  // would cost accuracy for no footprint win. The fp32 path runs the same
+  // nn/ops.h kernels as Forward(); the int8 path's softmax and GELU are the
+  // vectorized approximations of nn/vecmath.h: at serve widths libm exp and
+  // tanh would otherwise rival the projections.
   const int64_t d = num_heads_ * head_dim_;
   const int64_t f = ffn_in_.out_features();
   float* normed = arena.Alloc(total * d);
@@ -359,7 +331,7 @@ void TinyLmBlock::ForwardBatchInference(const float* x, int64_t total,
   if (quant_) {
     nn::ApproxGelu(hidden, total * f);
   } else {
-    GeluInPlace(hidden, total * f);
+    nn::GeluRows(hidden, total * f, hidden);
   }
   DenseInput hidden_in{hidden};
   Dense(hidden_in, total, ffn_out_, nullptr, &QuantWeights::ffn_out, out,
@@ -701,11 +673,7 @@ nn::Tensor TinyLm::LogitsAtRows(const nn::Tensor& hidden,
     nn::GemmNT(gathered, table.data().data(), out.data(), b, vocab, d,
                /*accumulate=*/false);
   }
-  const float* bias = head_bias_.data().data();
-  for (int64_t i = 0; i < b; ++i) {
-    float* row = out.data() + i * vocab;
-    for (int64_t j = 0; j < vocab; ++j) row[j] = row[j] + bias[j];
-  }
+  nn::AddBiasRows(out.data(), b, vocab, head_bias_.data().data());
   return nn::Tensor::FromData({b, vocab}, std::move(out));
 }
 

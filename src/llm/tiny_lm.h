@@ -99,7 +99,8 @@ class TinyLmBlock : public nn::Module {
   /// shape, must not alias x). Dense projections run as single stacked
   /// GEMMs — fp32, or int8 once QuantizeForInference() has run; attention
   /// stays block-diagonal per span. On the fp32 weights every row is
-  /// bit-identical to Forward() run on that span alone (DESIGN.md §11).
+  /// bit-identical to Forward() run on that span alone: the same GEMMs and
+  /// the same nn/ops.h kernels (DESIGN.md §11).
   ///
   /// When `prefix_kv` is set, every span is the suffix of one shared frozen
   /// prefix whose K/V rows were captured earlier: suffix rows attend over
@@ -216,8 +217,10 @@ class TinyLm : public nn::Module {
   /// range. No grad, no dropout, no RNG draws.
   /// `prefix_lengths`, when non-null, gives each prompt's frozen-head length
   /// (SequenceSpan::prefix); it must have one entry per prompt. This is the
-  /// uncached reference for the prefix-cache contract: EncodeBatchWithPrefix
-  /// suffix rows are bit-identical to the matching rows of this path.
+  /// uncached reference for the prefix-cache contract, which tests and
+  /// bench_serve compare against (snapshots serve only the cached path):
+  /// EncodeBatchWithPrefix suffix rows are bit-identical to the matching
+  /// rows of this path.
   nn::Tensor EncodeBatch(
       const std::vector<const std::vector<PromptPiece>*>& prompts,
       const nn::Tensor& effective_table, std::vector<SequenceSpan>* spans,

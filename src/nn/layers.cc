@@ -6,6 +6,12 @@
 #include "util/check.h"
 
 namespace delrec::nn {
+namespace {
+
+// LayerNorm's epsilon, shared by its autograd and inference forwards.
+constexpr float kLayerNormEpsilon = 1e-5f;
+
+}  // namespace
 
 Linear::Linear(int64_t in_features, int64_t out_features, util::Rng& rng,
                bool use_bias)
@@ -33,11 +39,8 @@ void Linear::ForwardInference(const float* x, int64_t rows,
                               float* out) const {
   GemmNN(x, weight_.data().data(), out, rows, out_features_, in_features_,
          /*accumulate=*/false);
-  if (!bias_.defined()) return;
-  const float* bv = bias_.data().data();
-  for (int64_t i = 0; i < rows; ++i) {
-    float* orow = out + i * out_features_;
-    for (int64_t j = 0; j < out_features_; ++j) orow[j] = orow[j] + bv[j];
+  if (bias_.defined()) {
+    AddBiasRows(out, rows, out_features_, bias_.data().data());
   }
 }
 
@@ -59,33 +62,13 @@ LayerNorm::LayerNorm(int64_t dim) {
 }
 
 Tensor LayerNorm::Forward(const Tensor& x) const {
-  return LayerNormOp(x, gamma_, beta_);
+  return LayerNormOp(x, gamma_, beta_, kLayerNormEpsilon);
 }
 
 void LayerNorm::ForwardInference(const float* x, int64_t rows,
                                  float* out) const {
-  // Mirrors LayerNormOp exactly: same accumulation order, same epsilon.
-  const int64_t d = gamma_.size();
-  const float* gv = gamma_.data().data();
-  const float* bv = beta_.data().data();
-  for (int64_t i = 0; i < rows; ++i) {
-    const float* row = x + i * d;
-    float mean = 0.0f;
-    for (int64_t j = 0; j < d; ++j) mean += row[j];
-    mean /= static_cast<float>(d);
-    float var = 0.0f;
-    for (int64_t j = 0; j < d; ++j) {
-      const float c = row[j] - mean;
-      var += c * c;
-    }
-    var /= static_cast<float>(d);
-    const float istd = 1.0f / std::sqrt(var + 1e-5f);
-    float* orow = out + i * d;
-    for (int64_t j = 0; j < d; ++j) {
-      const float nrm = (row[j] - mean) * istd;
-      orow[j] = nrm * gv[j] + bv[j];
-    }
-  }
+  LayerNormRows(x, rows, gamma_.size(), gamma_.data().data(),
+                beta_.data().data(), kLayerNormEpsilon, out);
 }
 
 GruCell::GruCell(int64_t input_dim, int64_t hidden_dim, util::Rng& rng)

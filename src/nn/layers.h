@@ -21,9 +21,10 @@ class Linear : public Module {
   Tensor Forward(const Tensor& x) const;
 
   /// Inference-only raw forward over row-major buffers: writes x·W + b into
-  /// `out` (rows × out_features, must not alias x). Bit-identical per row to
-  /// Forward() for any row count (the GEMM contract in nn/gemm.h makes each
-  /// output row depend only on its input row), builds no autograd tape.
+  /// `out` (rows × out_features, must not alias x) through the same GEMM
+  /// and AddBiasRows kernel Forward() runs, so it is bit-identical per row
+  /// to Forward() for any row count (the GEMM contract in nn/gemm.h makes
+  /// each output row depend only on its input row). Builds no autograd tape.
   void ForwardInference(const float* x, int64_t rows, float* out) const;
 
   const Tensor& weight() const { return weight_; }
@@ -63,8 +64,9 @@ class LayerNorm : public Module {
 
   Tensor Forward(const Tensor& x) const;
 
-  /// Inference-only raw row-wise forward (same arithmetic order and epsilon
-  /// as LayerNormOp, so bit-identical to Forward()); `out` may alias x.
+  /// Inference-only raw row-wise forward: the LayerNormRows kernel that
+  /// Forward()'s LayerNormOp runs, with the same epsilon, so bit-identical to
+  /// Forward(); `out` may alias x.
   void ForwardInference(const float* x, int64_t rows, float* out) const;
 
  private:

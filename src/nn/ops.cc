@@ -12,6 +12,10 @@ namespace {
 
 util::BufferPool& Pool() { return util::BufferPool::Global(); }
 
+// Tanh-approximation GELU constants, shared by GeluRows and Gelu's backward.
+constexpr float kSqrt2OverPi = 0.7978845608f;
+constexpr float kCoeff = 0.044715f;
+
 using SharedBuffer = std::shared_ptr<std::vector<float>>;
 
 bool AnyRequiresGrad(const std::vector<Tensor>& tensors) {
@@ -202,16 +206,18 @@ Tensor Relu(const Tensor& x) {
                   });
 }
 
-Tensor Gelu(const Tensor& x) {
-  constexpr float kSqrt2OverPi = 0.7978845608f;
-  constexpr float kCoeff = 0.044715f;
-  const auto& xv = x.data();
-  std::vector<float> out = Pool().Acquire(xv.size());
-  for (size_t i = 0; i < xv.size(); ++i) {
-    const float v = xv[i];
+void GeluRows(const float* x, int64_t count, float* out) {
+  for (int64_t i = 0; i < count; ++i) {
+    const float v = x[i];
     const float inner = kSqrt2OverPi * (v + kCoeff * v * v * v);
     out[i] = 0.5f * v * (1.0f + std::tanh(inner));
   }
+}
+
+Tensor Gelu(const Tensor& x) {
+  const auto& xv = x.data();
+  std::vector<float> out = Pool().Acquire(xv.size());
+  GeluRows(xv.data(), static_cast<int64_t>(xv.size()), out.data());
   Tensor x_copy = x;
   return MakeNode(
       x.shape(), std::move(out), {x}, [x_copy](TensorImpl& self) mutable {
@@ -347,16 +353,19 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
       });
 }
 
+void AddBiasRows(float* x, int64_t rows, int64_t cols, const float* bias) {
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) x[i * cols + j] += bias[j];
+  }
+}
+
 Tensor AddBias(const Tensor& x, const Tensor& bias) {
   DELREC_CHECK_EQ(x.ndim(), 2);
   DELREC_CHECK_EQ(bias.size(), x.dim(1));
   const int64_t n = x.dim(0);
   const int64_t d = x.dim(1);
   std::vector<float> out = Pool().AcquireCopy(x.data());
-  const auto& bv = bias.data();
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < d; ++j) out[i * d + j] += bv[j];
-  }
+  AddBiasRows(out.data(), n, d, bias.data().data());
   Tensor x_copy = x;
   Tensor b_copy = bias;
   return MakeNode(x.shape(), std::move(out), {x, bias},
@@ -673,34 +682,28 @@ Tensor MaxPoolRows(const Tensor& x) {
                   });
 }
 
-namespace {
-
-// Row-wise softmax into `out`; returns nothing. Stable via row max.
-void SoftmaxRows(const std::vector<float>& in, std::vector<float>& out,
-                 int64_t n, int64_t c) {
-  for (int64_t i = 0; i < n; ++i) {
-    const float* row = in.data() + i * c;
-    float* orow = out.data() + i * c;
+void SoftmaxRows(const float* x, int64_t rows, int64_t cols, float* out) {
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* row = x + i * cols;
+    float* orow = out + i * cols;
     float mx = row[0];
-    for (int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
+    for (int64_t j = 1; j < cols; ++j) mx = std::max(mx, row[j]);
     float denom = 0.0f;
-    for (int64_t j = 0; j < c; ++j) {
+    for (int64_t j = 0; j < cols; ++j) {
       orow[j] = std::exp(row[j] - mx);
       denom += orow[j];
     }
     const float inv = 1.0f / denom;
-    for (int64_t j = 0; j < c; ++j) orow[j] *= inv;
+    for (int64_t j = 0; j < cols; ++j) orow[j] *= inv;
   }
 }
-
-}  // namespace
 
 Tensor Softmax(const Tensor& x) {
   DELREC_CHECK_EQ(x.ndim(), 2);
   const int64_t n = x.dim(0);
   const int64_t c = x.dim(1);
   std::vector<float> out = Pool().Acquire(n * c);
-  SoftmaxRows(x.data(), out, n, c);
+  SoftmaxRows(x.data().data(), n, c, out.data());
   Tensor x_copy = x;
   SharedBuffer saved = Pool().AcquireSharedCopy(out);
   return MakeNode(
@@ -725,7 +728,7 @@ Tensor LogSoftmax(const Tensor& x) {
   const int64_t n = x.dim(0);
   const int64_t c = x.dim(1);
   SharedBuffer softmax = Pool().AcquireShared(n * c);
-  SoftmaxRows(x.data(), *softmax, n, c);
+  SoftmaxRows(x.data().data(), n, c, softmax->data());
   std::vector<float> out = Pool().Acquire(n * c);
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = std::log(std::max((*softmax)[i], 1e-30f));
@@ -755,7 +758,7 @@ Tensor CrossEntropyWithLogits(const Tensor& logits,
   const int64_t c = logits.dim(1);
   DELREC_CHECK_EQ(static_cast<int64_t>(targets.size()), n);
   SharedBuffer softmax = Pool().AcquireShared(n * c);
-  SoftmaxRows(logits.data(), *softmax, n, c);
+  SoftmaxRows(logits.data().data(), n, c, softmax->data());
   float loss = 0.0f;
   int64_t active = 0;
   for (int64_t i = 0; i < n; ++i) {
@@ -784,6 +787,32 @@ Tensor CrossEntropyWithLogits(const Tensor& logits,
       });
 }
 
+void LayerNormRows(const float* x, int64_t rows, int64_t cols,
+                   const float* gamma, const float* beta, float epsilon,
+                   float* out, float* normalized, float* inv_std) {
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* row = x + i * cols;
+    float mean = 0.0f;
+    for (int64_t j = 0; j < cols; ++j) mean += row[j];
+    mean /= static_cast<float>(cols);
+    float var = 0.0f;
+    for (int64_t j = 0; j < cols; ++j) {
+      const float c = row[j] - mean;
+      var += c * c;
+    }
+    var /= static_cast<float>(cols);
+    const float istd = 1.0f / std::sqrt(var + epsilon);
+    if (inv_std != nullptr) inv_std[i] = istd;
+    float* orow = out + i * cols;
+    float* nrow = normalized != nullptr ? normalized + i * cols : nullptr;
+    for (int64_t j = 0; j < cols; ++j) {
+      const float nrm = (row[j] - mean) * istd;
+      if (nrow != nullptr) nrow[j] = nrm;
+      orow[j] = nrm * gamma[j] + beta[j];
+    }
+  }
+}
+
 Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                    float epsilon) {
   DELREC_CHECK_EQ(x.ndim(), 2);
@@ -793,29 +822,10 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   DELREC_CHECK_EQ(beta.size(), d);
   SharedBuffer normalized = Pool().AcquireShared(n * d);
   SharedBuffer inv_std = Pool().AcquireShared(n);
-  const auto& xv = x.data();
-  const auto& gv = gamma.data();
-  const auto& bv = beta.data();
   std::vector<float> out = Pool().Acquire(n * d);
-  for (int64_t i = 0; i < n; ++i) {
-    const float* row = xv.data() + i * d;
-    float mean = 0.0f;
-    for (int64_t j = 0; j < d; ++j) mean += row[j];
-    mean /= static_cast<float>(d);
-    float var = 0.0f;
-    for (int64_t j = 0; j < d; ++j) {
-      const float c = row[j] - mean;
-      var += c * c;
-    }
-    var /= static_cast<float>(d);
-    const float istd = 1.0f / std::sqrt(var + epsilon);
-    (*inv_std)[i] = istd;
-    for (int64_t j = 0; j < d; ++j) {
-      const float nrm = (row[j] - mean) * istd;
-      (*normalized)[i * d + j] = nrm;
-      out[i * d + j] = nrm * gv[j] + bv[j];
-    }
-  }
+  LayerNormRows(x.data().data(), n, d, gamma.data().data(),
+                beta.data().data(), epsilon, out.data(), normalized->data(),
+                inv_std->data());
   Tensor x_copy = x;
   Tensor g_copy = gamma;
   Tensor b_copy = beta;

@@ -109,6 +109,28 @@ Tensor CrossEntropyWithLogits(const Tensor& logits,
 Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                    float epsilon = 1e-5f);
 
+// -- Raw fp32 kernels ---------------------------------------------------------
+//
+// The forward arithmetic of Softmax, LogSoftmax, CrossEntropyWithLogits,
+// Gelu, AddBias and LayerNormOp over row-major buffers, with no tape. Those
+// ops compute through these kernels and the batched inference forwards call
+// them directly, so fp32 serving equals training by construction.
+
+/// Row-wise softmax of x (rows, cols): stable via the row max, the
+/// denominator summed in column order. `out` may alias `x`.
+void SoftmaxRows(const float* x, int64_t rows, int64_t cols, float* out);
+/// Tanh-approximation GELU of `count` values; `out` may alias `x`.
+void GeluRows(const float* x, int64_t count, float* out);
+/// Adds `bias` (cols) to every row of x (rows, cols), in place.
+void AddBiasRows(float* x, int64_t rows, int64_t cols, const float* bias);
+/// Row-wise layer norm of x (rows, cols) with affine gamma/beta (cols);
+/// `out` may alias `x`. Non-null `normalized` (rows, cols) and `inv_std`
+/// (rows) receive the pre-affine rows and 1/σ that the backward reads.
+void LayerNormRows(const float* x, int64_t rows, int64_t cols,
+                   const float* gamma, const float* beta, float epsilon,
+                   float* out, float* normalized = nullptr,
+                   float* inv_std = nullptr);
+
 // -- Sequence convolutions (Caser) ----------------------------------------------
 
 /// Horizontal convolution for Caser: slides a height-h window over the

@@ -118,13 +118,10 @@ util::StatusOr<std::unique_ptr<EngineSnapshot>> EngineSnapshot::FromBlobs(
   // encode the snapshot-constant scoring-prompt head once, capture every
   // block's K/V. FromModel rides this same path, so the
   // byte-identical-construction contract covers the cache too.
-  if (options.enable_prefix_cache) {
-    const std::vector<llm::PromptPiece> prefix_pieces =
-        core::inference::BuildScoringPrefix(config, snapshot->prompt_builder_,
-                                            snapshot->soft_prompts_);
-    snapshot->prefix_state_ = snapshot->llm_->BuildPrefixState(
-        prefix_pieces, snapshot->effective_table_);
-  }
+  snapshot->prefix_state_ = snapshot->llm_->BuildPrefixState(
+      core::inference::BuildScoringPrefix(config, snapshot->prompt_builder_,
+                                          snapshot->soft_prompts_),
+      snapshot->effective_table_);
   // Embedded distilled student (optional, DESIGN.md §16): deserialize the
   // blob into a frozen inference model. It rides the same artifact as the
   // teacher, so a two-tier publish swaps both tiers in one version flip.
@@ -200,58 +197,39 @@ std::vector<std::vector<float>> EngineSnapshot::ScoreBatch(
         request.history, request.candidates));
   }
 
-  // Fan the batch out as per-thread sub-batches, each running the stacked
-  // EncodeBatch pipeline — the intra-batch parallelism a one-at-a-time
-  // caller cannot have. Any partition yields bit-identical scores: row r of
-  // EncodeBatch depends only on its own sequence (composition invariance,
+  // Suffix-only pieces: cut each prompt at its declared prefix boundary;
+  // the cached PrefixState stands in for the head. Kept alive outside the
+  // lambda since EncodeBatchWithPrefix reads pointers.
+  std::vector<llm::SplitPrompt> splits(requests.size());
+  for (int64_t i = 0; i < n; ++i) {
+    // Every scoring prompt this config builds shares the one head the
+    // snapshot cached — a mismatch means the prompt templates and the
+    // cache drifted apart, which must never survive a publish.
+    DELREC_CHECK_EQ(prompts[i].prefix_length, prefix_state_.length);
+    splits[i] = llm::PromptBuilder::Split(prompts[i]);
+  }
+
+  // Fan the batch out as per-thread sub-batches, each running one stacked
+  // suffix encode — the intra-batch parallelism a one-at-a-time caller
+  // cannot have. Any partition yields bit-identical scores: each row of
+  // the encode depends only on its own sequence (composition invariance,
   // tests/serve_test.cc), so the thread count never shows in the results.
   // Each chunk owns its slice of `results`; the pool buffers behind the
   // forwards are mutex-guarded (util::BufferPool).
   std::vector<std::vector<float>> results(requests.size());
-  const bool cached = prefix_state_.defined();
-  // Suffix-only pieces (cached path): cut each prompt at its declared
-  // prefix boundary; the cached PrefixState stands in for the head. Kept
-  // alive outside the lambda since EncodeBatchWithPrefix reads pointers.
-  std::vector<llm::SplitPrompt> splits(cached ? requests.size() : 0);
-  if (cached) {
-    for (int64_t i = 0; i < n; ++i) {
-      // Every scoring prompt this config builds shares the one head the
-      // snapshot cached — a mismatch means the prompt templates and the
-      // cache drifted apart, which must never survive a publish.
-      DELREC_CHECK_EQ(prompts[i].prefix_length, prefix_state_.length);
-      splits[i] = llm::PromptBuilder::Split(prompts[i]);
-    }
-  }
   util::ParallelFor(n, [&](int64_t begin, int64_t end, int) {
     std::vector<const std::vector<llm::PromptPiece>*> pieces;
     pieces.reserve(end - begin);
+    for (int64_t i = begin; i < end; ++i) pieces.push_back(&splits[i].suffix);
     std::vector<llm::SequenceSpan> spans;
-    nn::Tensor hidden;
+    const nn::Tensor hidden = llm_->EncodeBatchWithPrefix(
+        prefix_state_, pieces, effective_table_, &spans);
+    // Hidden rows cover only the suffix: re-anchor the mask index.
     std::vector<int64_t> mask_rows;
     mask_rows.reserve(end - begin);
-    if (cached) {
-      for (int64_t i = begin; i < end; ++i) {
-        pieces.push_back(&splits[i].suffix);
-      }
-      hidden = llm_->EncodeBatchWithPrefix(prefix_state_, pieces,
-                                           effective_table_, &spans);
-      // Hidden rows cover only the suffix: re-anchor the mask index.
-      for (int64_t i = begin; i < end; ++i) {
-        mask_rows.push_back(spans[i - begin].begin + prompts[i].mask_position -
-                            prefix_state_.length);
-      }
-    } else {
-      std::vector<int64_t> prefix_lengths;
-      prefix_lengths.reserve(end - begin);
-      for (int64_t i = begin; i < end; ++i) {
-        pieces.push_back(&prompts[i].pieces);
-        prefix_lengths.push_back(prompts[i].prefix_length);
-      }
-      hidden = llm_->EncodeBatch(pieces, effective_table_, &spans,
-                                 &prefix_lengths);
-      for (int64_t i = begin; i < end; ++i) {
-        mask_rows.push_back(spans[i - begin].begin + prompts[i].mask_position);
-      }
+    for (int64_t i = begin; i < end; ++i) {
+      mask_rows.push_back(spans[i - begin].begin + prompts[i].mask_position -
+                          prefix_state_.length);
     }
     const nn::Tensor logits =
         llm_->LogitsAtRows(hidden, mask_rows, effective_table_);

@@ -30,17 +30,11 @@ namespace delrec::serve {
 /// footprint win, as the table dominates weight bytes at these model sizes.
 /// Scores are no longer bit-identical to the fp32 snapshot but stay within
 /// the tolerance gated by tests/quant_parity_test.cc; the fp32 default is
-/// bit-for-bit unchanged.
+/// bit-for-bit unchanged. Every snapshot, fp32 or int8, builds the prefix
+/// KV cache (DESIGN.md §15): it is exact, so it needs no option.
 /// (Namespace-scope rather than nested so it can be a default argument.)
 struct SnapshotBuildOptions {
   bool quantize_int8 = false;
-  /// Precomputes the shared prompt-prefix K/V cache (TinyLm::PrefixState)
-  /// at build time so ScoreBatch encodes only each request's suffix
-  /// (DESIGN.md §15). Scores are bit-identical either way — the cache is
-  /// exact, on the fp32 and int8 paths alike — so this is purely a
-  /// throughput/footprint trade. Off exists for the uncached baseline side
-  /// of bench_serve and for bit-identity tests.
-  bool enable_prefix_cache = true;
 };
 
 /// Where a snapshot's resident bytes live (asserted to sum to
@@ -68,11 +62,11 @@ struct SnapshotFootprint {
 ///
 /// Scoring is const and thread-safe: the snapshot's own TinyLm is never
 /// mutated after construction, inference draws no RNG, and grad mode is
-/// thread-local. ScoreBatch() stacks prompts into one row-concatenated
-/// batched encode (suffix-only over the prefix KV cache when one was
-/// built), bit-identical per row at every thread count and batch
-/// composition — and, on fp32 weights, to DelRec::ScoreCandidates'
-/// per-sequence forward (DESIGN.md §11). Score() is a batch of one.
+/// thread-local. ScoreBatch() stacks the requests' prompt suffixes into one
+/// row-concatenated batched encode over the prefix KV cache, bit-identical
+/// per row at every thread count and batch composition — and, on fp32
+/// weights, to DelRec::ScoreCandidates' per-sequence forward (DESIGN.md
+/// §11, §15). Score() is a batch of one.
 class EngineSnapshot : public Scorer {
  public:
   /// Borrowed, immutable context the snapshot scores against. All pointers
@@ -126,16 +120,15 @@ class EngineSnapshot : public Scorer {
 
   /// Bytes of model state one scoring call reads: the LLM's serving weights
   /// (fp32 or packed int8), the soft prompts, the materialized fp32
-  /// effective table when one is held, and the prefix KV cache when one was
-  /// built. Reported by bench_serve so the ~4× int8 weight shrink is a
-  /// gated, visible number.
+  /// effective table when one is held, and the prefix KV cache. Reported by
+  /// bench_serve so the ~4× int8 weight shrink is a gated, visible number.
   size_t MemoryFootprintBytes() const { return MemoryFootprint().total(); }
   /// The same bytes, broken down by where they live.
   SnapshotFootprint MemoryFootprint() const;
 
-  /// Tokens of every request's prompt served from the prefix KV cache (0
-  /// when the cache is disabled) — the engine's prefix_tokens_skipped
-  /// counter multiplies this by requests scored.
+  /// Tokens of every request's prompt served from the prefix KV cache — the
+  /// engine's prefix_tokens_skipped counter multiplies this by requests
+  /// scored.
   int64_t CachedPrefixLength() const override {
     return prefix_state_.length;
   }
@@ -164,12 +157,11 @@ class EngineSnapshot : public Scorer {
   llm::PromptBuilder prompt_builder_;
   llm::Verbalizer verbalizer_;
   nn::Tensor effective_table_;  // MaterializeTokenTable(), shared by calls.
-  // Precomputed K/V of the snapshot-constant prompt head (empty when the
-  // cache is disabled). Built inside FromBlobs — after quantization, so the
-  // int8 path's cache comes from the int8 projections — and immutable after
-  // that, like everything else here: publishing a new snapshot is what
-  // invalidates it (the old PrefixState dies with the old snapshot's
-  // refcount, DESIGN.md §12/§15).
+  // Precomputed K/V of the snapshot-constant prompt head. Built inside
+  // FromBlobs — after quantization, so the int8 path's cache comes from the
+  // int8 projections — and immutable after that, like everything else here:
+  // publishing a new snapshot is what invalidates it (the old PrefixState
+  // dies with the old snapshot's refcount, DESIGN.md §12/§15).
   llm::TinyLm::PrefixState prefix_state_;
   // Deserialized DelRecBlobs::student_blob (model == nullptr when the
   // checkpoint carried none). Owned and frozen like everything else here;

@@ -281,10 +281,15 @@ TEST_F(ParallelDeterminismTest, SnapshotBatchScoringBitIdenticalAcrossThreads) {
 // from EncodeBatchWithPrefix (cached prefix K/V) must be bit-identical to
 // the matching rows of a full boundary-masked EncodeBatch, at every thread
 // count and batch composition — the cache changes where flops happen, never
-// what any row sums.
+// what any row sums. Pinned on the fp32 weights with a materialized table
+// and on a quantized model, whose encodes read the int8 table (undefined
+// fp32 table): snapshots serve only the cached path, so this is where int8
+// cached ≡ uncached is checked.
 TEST_F(ParallelDeterminismTest,
        CachedPrefixEncodeBitIdenticalAcrossThreads) {
   auto llm = workbench_->MakePretrainedLlm(core::LlmSize::kBase);
+  auto int8 = workbench_->MakePretrainedLlm(core::LlmSize::kBase);
+  int8->QuantizeForInference();
   util::Rng rng(61);
   const nn::Tensor soft =
       nn::Tensor::Randn({4, llm->config().model_dim}, rng, 0.02f);
@@ -300,53 +305,63 @@ TEST_F(ParallelDeterminismTest,
                                rng),
         soft, {}, nn::Tensor()));
   }
-  const nn::Tensor table = llm->MaterializeTokenTable();
-  const llm::TinyLm::PrefixState prefix =
-      llm->BuildPrefixState(builder.RecommendationPrefix(soft), table);
-  ASSERT_EQ(prefix.length, prompts[0].prefix_length);
-
-  // Per-prompt splits plus the reference: full boundary-masked encode at
-  // one thread, suffix rows extracted.
   std::vector<llm::SplitPrompt> splits;
   for (const llm::Prompt& prompt : prompts) {
     splits.push_back(llm::PromptBuilder::Split(prompt));
   }
-  std::vector<std::vector<float>> reference;
-  {
-    util::ScopedParallelism parallel(1, /*min_work_per_dispatch=*/1);
-    for (const llm::Prompt& prompt : prompts) {
-      std::vector<llm::SequenceSpan> spans;
-      const std::vector<int64_t> prefix_lengths = {prompt.prefix_length};
-      const nn::Tensor hidden = llm->EncodeBatch({&prompt.pieces}, table,
-                                                 &spans, &prefix_lengths);
-      const int64_t d = hidden.dim(1);
-      const float* suffix_rows =
-          hidden.data().data() + prompt.prefix_length * d;
-      reference.emplace_back(
-          suffix_rows, suffix_rows + (prompt.length() - prompt.prefix_length) * d);
-    }
-  }
 
-  for (int threads : kThreadCounts) {
-    util::ScopedParallelism parallel(threads, /*min_work_per_dispatch=*/1);
-    for (size_t batch_size : {size_t{1}, size_t{3}, prompts.size()}) {
-      for (size_t begin = 0; begin < prompts.size(); begin += batch_size) {
-        const size_t end = std::min(begin + batch_size, prompts.size());
-        std::vector<const std::vector<llm::PromptPiece>*> suffixes;
-        for (size_t i = begin; i < end; ++i) {
-          suffixes.push_back(&splits[i].suffix);
-        }
+  struct Input {
+    const char* name;
+    const llm::TinyLm* lm;
+    nn::Tensor table;
+  };
+  const Input inputs[] = {{"fp32", llm.get(), llm->MaterializeTokenTable()},
+                          {"int8", int8.get(), nn::Tensor()}};
+  for (const Input& input : inputs) {
+    const llm::TinyLm::PrefixState prefix = input.lm->BuildPrefixState(
+        builder.RecommendationPrefix(soft), input.table);
+    ASSERT_EQ(prefix.length, prompts[0].prefix_length);
+
+    // The reference: full boundary-masked encode at one thread, suffix rows
+    // extracted.
+    std::vector<std::vector<float>> reference;
+    {
+      util::ScopedParallelism parallel(1, /*min_work_per_dispatch=*/1);
+      for (const llm::Prompt& prompt : prompts) {
         std::vector<llm::SequenceSpan> spans;
-        const nn::Tensor cached =
-            llm->EncodeBatchWithPrefix(prefix, suffixes, table, &spans);
-        const int64_t d = cached.dim(1);
-        for (size_t i = begin; i < end; ++i) {
-          const llm::SequenceSpan& span = spans[i - begin];
-          const float* rows = cached.data().data() + span.begin * d;
-          const std::vector<float> got(rows, rows + span.length * d);
-          EXPECT_EQ(got, reference[i])
-              << "threads=" << threads << " batch_size=" << batch_size
-              << " prompt=" << i;
+        const std::vector<int64_t> prefix_lengths = {prompt.prefix_length};
+        const nn::Tensor hidden = input.lm->EncodeBatch(
+            {&prompt.pieces}, input.table, &spans, &prefix_lengths);
+        const int64_t d = hidden.dim(1);
+        const float* suffix_rows =
+            hidden.data().data() + prompt.prefix_length * d;
+        reference.emplace_back(
+            suffix_rows,
+            suffix_rows + (prompt.length() - prompt.prefix_length) * d);
+      }
+    }
+
+    for (int threads : kThreadCounts) {
+      util::ScopedParallelism parallel(threads, /*min_work_per_dispatch=*/1);
+      for (size_t batch_size : {size_t{1}, size_t{3}, prompts.size()}) {
+        for (size_t begin = 0; begin < prompts.size(); begin += batch_size) {
+          const size_t end = std::min(begin + batch_size, prompts.size());
+          std::vector<const std::vector<llm::PromptPiece>*> suffixes;
+          for (size_t i = begin; i < end; ++i) {
+            suffixes.push_back(&splits[i].suffix);
+          }
+          std::vector<llm::SequenceSpan> spans;
+          const nn::Tensor cached = input.lm->EncodeBatchWithPrefix(
+              prefix, suffixes, input.table, &spans);
+          const int64_t d = cached.dim(1);
+          for (size_t i = begin; i < end; ++i) {
+            const llm::SequenceSpan& span = spans[i - begin];
+            const float* rows = cached.data().data() + span.begin * d;
+            const std::vector<float> got(rows, rows + span.length * d);
+            EXPECT_EQ(got, reference[i])
+                << input.name << " threads=" << threads
+                << " batch_size=" << batch_size << " prompt=" << i;
+          }
         }
       }
     }

@@ -284,37 +284,6 @@ TEST_F(QuantParityTest, QuantizedScoreBatchInvariantUnderComposition) {
   }
 }
 
-// The int8 prefix KV cache is exact, not approximate: the cached rows are
-// the int8 GEMM's own fp32 outputs and per-row activation quantization
-// makes the suffix rows' codes independent of how the prefix was computed,
-// so cached-vs-uncached int8 score drift must be exactly zero — the same
-// bit-identity the fp32 cache has, not merely within quantization tolerance
-// (DESIGN.md §15).
-TEST_F(QuantParityTest, PrefixCacheAddsZeroQuantizedDrift) {
-  const auto cached = Snapshot(Int8Options());
-  serve::SnapshotBuildOptions off = Int8Options();
-  off.enable_prefix_cache = false;
-  const auto uncached = Snapshot(off);
-  ASSERT_GT(cached->CachedPrefixLength(), 0);
-  ASSERT_EQ(uncached->CachedPrefixLength(), 0);
-
-  const std::vector<serve::ScoreRequest> requests = MakeRequests(16);
-  const std::vector<std::vector<float>> a = cached->ScoreBatch(requests);
-  const std::vector<std::vector<float>> b = uncached->ScoreBatch(requests);
-  ASSERT_EQ(a.size(), b.size());
-  float worst = 0.0f;
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size());
-    for (size_t k = 0; k < a[i].size(); ++k) {
-      worst = std::max(worst, std::fabs(a[i][k] - b[i][k]));
-    }
-  }
-  std::printf("[quant_parity] cached-vs-uncached int8 drift = %g\n", worst);
-  EXPECT_EQ(worst, 0.0f);
-  // And bit-for-bit, which subsumes the drift bound.
-  EXPECT_EQ(a, b);
-}
-
 // Both construction paths quantize the same checkpoint-blob weights, so the
 // resulting snapshots must agree bit-for-bit, as the fp32 ones do.
 TEST_F(QuantParityTest, QuantizedFromCheckpointMatchesFromModel) {

@@ -5,9 +5,11 @@
 // recommender paradigm fits behind the unified Scorer interface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -104,11 +106,8 @@ class ServeTest : public ::testing::Test {
     return requests;
   }
 
-  static std::unique_ptr<serve::EngineSnapshot> Snapshot(
-      const serve::SnapshotBuildOptions& options =
-          serve::SnapshotBuildOptions()) {
-    auto snapshot =
-        serve::EngineSnapshot::FromModel(*model_, *llm_, Sources(), options);
+  static std::unique_ptr<serve::EngineSnapshot> Snapshot() {
+    auto snapshot = serve::EngineSnapshot::FromModel(*model_, *llm_, Sources());
     DELREC_CHECK(snapshot.ok()) << snapshot.status().ToString();
     return std::move(snapshot.value());
   }
@@ -180,26 +179,110 @@ TEST_F(ServeTest, ScoreBatchInvariantUnderBatchComposition) {
   }
 }
 
-// The prefix KV cache is a pure throughput/footprint trade: a snapshot with
-// it disabled scores every request bit-identically (DESIGN.md §15).
-TEST_F(ServeTest, PrefixCacheOnAndOffScoreBitIdentical) {
-  serve::SnapshotBuildOptions uncached_options;
-  uncached_options.enable_prefix_cache = false;
-  for (const bool quantize : {false, true}) {
-    serve::SnapshotBuildOptions cached_options;
-    cached_options.quantize_int8 = quantize;
-    uncached_options.quantize_int8 = quantize;
-    const auto cached = Snapshot(cached_options);
-    const auto uncached = Snapshot(uncached_options);
-    EXPECT_GT(cached->CachedPrefixLength(), 0);
-    EXPECT_EQ(uncached->CachedPrefixLength(), 0);
-    const std::vector<serve::ScoreRequest> requests = MakeRequests(9);
-    EXPECT_EQ(cached->ScoreBatch(requests), uncached->ScoreBatch(requests))
-        << "quantize=" << quantize;
-    for (const serve::ScoreRequest& request : requests) {
-      EXPECT_EQ(cached->Score(request), uncached->Score(request));
+void ExpectSameStats(const serve::RecommendationEngine::Stats& a,
+                     const serve::RecommendationEngine::Stats& b) {
+  EXPECT_EQ(a.submitted, b.submitted);
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.scored, b.scored);
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.max_batch, b.max_batch);
+  EXPECT_EQ(a.mean_batch, b.mean_batch);
+  EXPECT_EQ(a.shed_queue_full, b.shed_queue_full);
+  EXPECT_EQ(a.shed_deadline, b.shed_deadline);
+  EXPECT_EQ(a.shed_shutdown, b.shed_shutdown);
+  EXPECT_EQ(a.scorer_failures, b.scorer_failures);
+  EXPECT_EQ(a.swaps_observed, b.swaps_observed);
+  EXPECT_EQ(a.snapshot_version, b.snapshot_version);
+  EXPECT_EQ(a.prefix_tokens_skipped, b.prefix_tokens_skipped);
+  EXPECT_EQ(a.prefix_tokens_by_version, b.prefix_tokens_by_version);
+  EXPECT_EQ(a.queue_p50_ms, b.queue_p50_ms);
+  EXPECT_EQ(a.queue_p99_ms, b.queue_p99_ms);
+  EXPECT_EQ(a.queue_wait_histogram, b.queue_wait_histogram);
+}
+
+// MergeStats, the shard merge behind TotalStats: counters sum, max_batch and
+// snapshot_version take the max, prefix_tokens_by_version and the queue-wait
+// histogram merge by key and by bucket, the summary fields are recomputed
+// from the merged counts, and every order of the shards merges alike.
+TEST(MergeStatsTest, MergesEveryFieldInAnyShardOrder) {
+  using Stats = serve::RecommendationEngine::Stats;
+  // Every counter differs across shards and from every other counter, so a
+  // merge that reads the wrong field or drops a shard shows. The summary
+  // fields hold stale values that the merge must recompute, not combine.
+  auto shard = [](uint64_t base, uint64_t max_batch, uint64_t version,
+                  std::map<uint64_t, uint64_t> by_version) {
+    Stats stats;
+    stats.submitted = base + 1;
+    stats.requests = base + 2;
+    stats.scored = base + 3;
+    stats.batches = base + 4;
+    stats.max_batch = max_batch;
+    stats.mean_batch = -1.0;
+    stats.shed_queue_full = base + 5;
+    stats.shed_deadline = base + 6;
+    stats.shed_shutdown = base + 7;
+    stats.scorer_failures = base + 8;
+    stats.swaps_observed = base + 9;
+    stats.snapshot_version = version;
+    for (const auto& [v, skipped] : by_version) {
+      stats.prefix_tokens_skipped += skipped;
     }
-  }
+    stats.prefix_tokens_by_version = std::move(by_version);
+    stats.queue_p50_ms = -1.0;
+    stats.queue_p99_ms = -1.0;
+    return stats;
+  };
+  // Versions 5 and 6 overlap across shards; 7 and 9 appear in one each.
+  std::vector<Stats> shards = {shard(100, 16, 6, {{5, 40}, {6, 60}}),
+                               shard(200, 4, 9, {{6, 7}, {9, 200}}),
+                               shard(300, 11, 7, {{5, 3}, {7, 30}})};
+  // Own p50/p99 buckets per shard: 1/12, 6/6 and 6/6.
+  shards[0].queue_wait_histogram[1] = 30;
+  shards[0].queue_wait_histogram[3] = 10;
+  shards[0].queue_wait_histogram[9] = 8;
+  shards[0].queue_wait_histogram[12] = 1;
+  shards[1].queue_wait_histogram[3] = 15;
+  shards[1].queue_wait_histogram[6] = 20;
+  shards[2].queue_wait_histogram[1] = 6;
+  shards[2].queue_wait_histogram[6] = 10;
+
+  const Stats merged = serve::MergeStats(shards);
+  EXPECT_EQ(merged.submitted, 603u);
+  EXPECT_EQ(merged.requests, 606u);
+  EXPECT_EQ(merged.scored, 609u);
+  EXPECT_EQ(merged.batches, 612u);
+  EXPECT_EQ(merged.max_batch, 16u);
+  EXPECT_EQ(merged.mean_batch, 606.0 / 612.0);
+  EXPECT_EQ(merged.shed_queue_full, 615u);
+  EXPECT_EQ(merged.shed_deadline, 618u);
+  EXPECT_EQ(merged.shed_shutdown, 621u);
+  EXPECT_EQ(merged.scorer_failures, 624u);
+  EXPECT_EQ(merged.swaps_observed, 627u);
+  EXPECT_EQ(merged.snapshot_version, 9u);
+  EXPECT_EQ(merged.prefix_tokens_skipped, 340u);
+  const std::map<uint64_t, uint64_t> by_version = {
+      {5, 43}, {6, 67}, {7, 30}, {9, 200}};
+  EXPECT_EQ(merged.prefix_tokens_by_version, by_version);
+  serve::RecommendationEngine::QueueWaitHistogram histogram{};
+  histogram[1] = 36;
+  histogram[3] = 25;
+  histogram[6] = 30;
+  histogram[9] = 8;
+  histogram[12] = 1;
+  EXPECT_EQ(merged.queue_wait_histogram, histogram);
+  // 100 waits: the 50th lies in bucket 3 (< 8 µs) and the 99th in bucket 9
+  // (< 512 µs), buckets no shard's own p50 or p99 falls in.
+  EXPECT_DOUBLE_EQ(merged.queue_p50_ms, 0.008);
+  EXPECT_DOUBLE_EQ(merged.queue_p99_ms, 0.512);
+
+  std::vector<size_t> order = {0, 1, 2};
+  do {
+    std::vector<Stats> permuted;
+    for (size_t i : order) permuted.push_back(shards[i]);
+    SCOPED_TRACE(::testing::Message() << "order " << order[0] << order[1]
+                                      << order[2]);
+    ExpectSameStats(serve::MergeStats(permuted), merged);
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 TEST_F(ServeTest, FootprintBreakdownSumsToTotal) {
@@ -216,17 +299,6 @@ TEST_F(ServeTest, FootprintBreakdownSumsToTotal) {
   EXPECT_EQ(cached->MemoryFootprintBytes(), footprint.total());
   EXPECT_EQ(footprint.prefix_cache_bytes,
             cached->prefix_state().MemoryBytes());
-
-  // Disabling the cache removes exactly the prefix_cache_bytes component.
-  serve::SnapshotBuildOptions off;
-  off.enable_prefix_cache = false;
-  const auto uncached = Snapshot(off);
-  const serve::SnapshotFootprint base = uncached->MemoryFootprint();
-  EXPECT_EQ(base.prefix_cache_bytes, 0u);
-  EXPECT_EQ(base.weight_bytes, footprint.weight_bytes);
-  EXPECT_EQ(base.soft_prompt_bytes, footprint.soft_prompt_bytes);
-  EXPECT_EQ(base.token_table_bytes, footprint.token_table_bytes);
-  EXPECT_EQ(base.total() + footprint.prefix_cache_bytes, footprint.total());
 }
 
 // prefix_tokens_skipped accounting: scored requests × the prefix length of
