@@ -1,22 +1,23 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
+#include <utility>
 
 #include "util/buffer_pool.h"
+#include "util/check.h"
 #include "util/threadpool.h"
 
 // This translation unit is compiled with -ffp-contract=off (set in
 // src/nn/CMakeLists.txt): the blocked kernels stay bit-identical to the
 // scalar reference kernels only because every multiply and add rounds
 // separately — a contracted FMA would round once and break the oracle,
-// including under -DDELREC_NATIVE=ON. The AVX2/AVX-512 paths use explicit
-// mul/add intrinsics, which map to fixed instructions and are never
-// contracted either.
+// including under -DDELREC_NATIVE=ON or inside an AVX-512 target, where the
+// vector tiles' mul/add pairs would otherwise be fused as well.
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define DELREC_GEMM_X86 1
-#include <immintrin.h>
 #else
 #define DELREC_GEMM_X86 0
 #endif
@@ -27,8 +28,8 @@ namespace {
 constexpr int MR = kGemmRowTile;
 constexpr int NR = kGemmColTile;
 constexpr int kNtScalarColTile = 4;  // Unpacked NT keeps 4×4 dot chains.
-static_assert(NR == 16, "microkernels assume one 16-lane (or two 8-lane) "
-                        "vector of C columns per row");
+static_assert(NR % 16 == 0, "a C row's columns split into whole vectors at "
+                            "every tile width");
 
 // Row-partitioned dispatch over C across util::ParallelConfig threads.
 // Determinism contract (DESIGN.md §9): every C row is written by exactly one
@@ -53,92 +54,93 @@ void GemmRows(int64_t m, int64_t n, int64_t k,
 // (function-pointer dispatch via __builtin_cpu_supports); the drivers and
 // row-remainder edge tiles are ISA-agnostic scalar code, while column edges
 // of packed B run the full tiles on zero-padded panels (ViaLocalTile). Per
-// output element every variant accumulates ascending p into a single chain
+// output element every tile accumulates ascending p into a single chain
 // from the same start value, so lane width never changes results — vector
 // lanes are distinct C columns.
 //
-// NN/TN tiles come in two zero-handling flavours with reference semantics:
-// `skip` replicates the reference's per-(row, p) `a == 0.0f` skip (it is
-// semantically observable — it avoids 0·inf → NaN and signed-zero flips);
-// `dense` drops the branch and is only chosen after a prescan proves the A
-// tile zero-free, where skipping and not-skipping are the same program.
-// NT tiles start each accumulator at 0 and combine with C at the end — the
-// reference's dot-then-combine association, distinct from NN/TN which seed
-// the accumulator from C.
+// Each tile has one body, written in GCC vector extensions and templated on
+// the vector width W: a C row's NR columns are NR/W vectors of W lanes. The
+// body is instantiated at 16 lanes under target("avx512f"), at 8 under
+// target("avx2"), and at 4 for the baseline tier. Two flags pick between the
+// reference semantics:
+// - kSkipZeros replicates the NN/TN references' per-(row, p) `a == 0.0f`
+//   skip (it is semantically observable — it avoids 0·inf → NaN and
+//   signed-zero flips). Without it the tile is dense, chosen only after a
+//   prescan proves the A tile zero-free, where skipping and not-skipping
+//   are the same program.
+// - kSeedFromC seeds the accumulator from C, as NN/TN do; without it the
+//   accumulator starts at 0 and combines with C at the end — the NT
+//   reference's dot-then-combine association.
 
 using TileFn = void (*)(const float* a, int64_t a_i_stride,
                         int64_t a_p_stride, const float* bpanel,
                         int64_t b_p_stride, float* c, int64_t n, int64_t k,
                         int64_t i0, int64_t j0, bool accumulate);
-using NtTileFn = void (*)(const float* a, const float* bpanel, float* c,
-                          int64_t n, int64_t k, int64_t i0, int64_t j0,
-                          bool accumulate);
 using ZeroScanFn = bool (*)(const float* a, int64_t a_i_stride,
                             int64_t a_p_stride, int64_t i0, int64_t k);
 
-// ---- Portable scalar tiles (and the only path off x86-64) ----
+// W lanes of T. The member alias is what makes W a real dependent vector
+// size (GCC drops the attribute on an alias template).
+template <typename T, int W>
+struct VectorOf {
+  using type [[gnu::vector_size(W * sizeof(T))]] = T;
+};
 
-void TileDenseScalar(const float* a, int64_t a_i_stride, int64_t a_p_stride,
-                     const float* bpanel, int64_t b_p_stride, float* c,
-                     int64_t n, int64_t k, int64_t i0, int64_t j0,
-                     bool accumulate) {
-  for (int r = 0; r < MR; ++r) {
-    const float* ar = a + (i0 + r) * a_i_stride;
-    float* cr = c + (i0 + r) * n + j0;
-    float acc[NR];
-    for (int jr = 0; jr < NR; ++jr) acc[jr] = accumulate ? cr[jr] : 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = ar[p * a_p_stride];
-      const float* bp = bpanel + p * b_p_stride;
-      for (int jr = 0; jr < NR; ++jr) acc[jr] += av * bp[jr];
+template <int W, bool kSkipZeros, bool kSeedFromC>
+[[gnu::always_inline]] inline void Tile(const float* a, int64_t a_i_stride,
+                                        int64_t a_p_stride,
+                                        const float* bpanel,
+                                        int64_t b_p_stride, float* c,
+                                        int64_t n, int64_t k, int64_t i0,
+                                        int64_t j0, bool accumulate) {
+  using V = typename VectorOf<float, W>::type;
+  constexpr int kVecs = NR / W;
+  // acc[r·kVecs + v] holds row r's columns [v·W, v·W + W). The two loops
+  // that address it by a computed index are unrolled so every index is a
+  // constant and the accumulators live in registers, as in the k loop.
+  V acc[MR * kVecs];
+#pragma GCC unroll 16
+  for (int i = 0; i < MR * kVecs; ++i) {
+    acc[i] = V{};
+    if (kSeedFromC && accumulate) {
+      std::memcpy(&acc[i], c + (i0 + i / kVecs) * n + j0 + i % kVecs * W,
+                  sizeof(V));
     }
-    for (int jr = 0; jr < NR; ++jr) cr[jr] = acc[jr];
   }
-}
-
-void TileSkipScalar(const float* a, int64_t a_i_stride, int64_t a_p_stride,
-                    const float* bpanel, int64_t b_p_stride, float* c,
-                    int64_t n, int64_t k, int64_t i0, int64_t j0,
-                    bool accumulate) {
-  for (int r = 0; r < MR; ++r) {
-    const float* ar = a + (i0 + r) * a_i_stride;
-    float* cr = c + (i0 + r) * n + j0;
-    float acc[NR];
-    for (int jr = 0; jr < NR; ++jr) acc[jr] = accumulate ? cr[jr] : 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = ar[p * a_p_stride];
-      if (av == 0.0f) continue;
-      const float* bp = bpanel + p * b_p_stride;
-      for (int jr = 0; jr < NR; ++jr) acc[jr] += av * bp[jr];
+  for (int64_t p = 0; p < k; ++p) {
+    V b[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+      std::memcpy(&b[v], bpanel + p * b_p_stride + v * W, sizeof(V));
     }
-    for (int jr = 0; jr < NR; ++jr) cr[jr] = acc[jr];
+    for (int r = 0; r < MR; ++r) {
+      const float av = a[(i0 + r) * a_i_stride + p * a_p_stride];
+      // Likely: GCC otherwise moves every multiply-add off the fall-through
+      // path, which cost ~20% on zero-bearing attention probabilities.
+      if (!kSkipZeros || av != 0.0f) [[likely]] {
+        for (int v = 0; v < kVecs; ++v) acc[r * kVecs + v] += av * b[v];
+      }
+    }
   }
-}
-
-void NtTileScalar(const float* a, const float* bpanel, float* c, int64_t n,
-                  int64_t k, int64_t i0, int64_t j0, bool accumulate) {
-  for (int r = 0; r < MR; ++r) {
-    const float* ar = a + (i0 + r) * k;
-    float* cr = c + (i0 + r) * n + j0;
-    float acc[NR];
-    for (int jr = 0; jr < NR; ++jr) acc[jr] = 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = ar[p];
-      const float* bp = bpanel + p * NR;
-      for (int jr = 0; jr < NR; ++jr) acc[jr] += av * bp[jr];
+#pragma GCC unroll 16
+  for (int i = 0; i < MR * kVecs; ++i) {
+    float* cv = c + (i0 + i / kVecs) * n + j0 + i % kVecs * W;
+    if (!kSeedFromC && accumulate) {
+      // C first, dot second — the reference's `c += dot` operand order.
+      V prior;
+      std::memcpy(&prior, cv, sizeof(V));
+      acc[i] = prior + acc[i];
     }
-    for (int jr = 0; jr < NR; ++jr) {
-      cr[jr] = accumulate ? cr[jr] + acc[jr] : acc[jr];
-    }
+    std::memcpy(cv, &acc[i], sizeof(V));
   }
 }
 
 // Dense-tile eligibility prescan: true iff any A element in the MR-row tile
 // compares == 0.0f (matches ±0, never NaN — the exact predicate the skip
 // tile applies per element). This runs once per 4-row tile over 4×k floats,
-// so on small GEMMs it is a visible fraction of the whole product; the
-// vector variants below evaluate the same predicate 8/16 lanes at a time
-// (_CMP_EQ_OQ is the ordered quiet ==, identical to the scalar compare).
+// so on small GEMMs it is a visible fraction of the whole product. Only the
+// contiguous-row layout (NN path, a_p_stride == 1) vectorizes; the strided
+// TN layout keeps the scalar scan. A prescan is a pure predicate — speeding
+// it up cannot change any result.
 bool TileHasZeroScalar(const float* a, int64_t a_i_stride, int64_t a_p_stride,
                        int64_t i0, int64_t k) {
   for (int r = 0; r < MR; ++r) {
@@ -150,311 +152,45 @@ bool TileHasZeroScalar(const float* a, int64_t a_i_stride, int64_t a_p_stride,
   return false;
 }
 
-#if DELREC_GEMM_X86
-
-// ---- AVX2 tiles: NR = two 8-lane registers per row, 8 accumulators ----
-
-__attribute__((target("avx2"))) void TileDenseAvx2(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride,
-    const float* bpanel, int64_t b_p_stride, float* c, int64_t n, int64_t k,
-    int64_t i0, int64_t j0, bool accumulate) {
-  const float* a0 = a + (i0 + 0) * a_i_stride;
-  const float* a1 = a + (i0 + 1) * a_i_stride;
-  const float* a2 = a + (i0 + 2) * a_i_stride;
-  const float* a3 = a + (i0 + 3) * a_i_stride;
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  __m256 x0, y0, x1, y1, x2, y2, x3, y3;
-  if (accumulate) {
-    x0 = _mm256_loadu_ps(c0);
-    y0 = _mm256_loadu_ps(c0 + 8);
-    x1 = _mm256_loadu_ps(c1);
-    y1 = _mm256_loadu_ps(c1 + 8);
-    x2 = _mm256_loadu_ps(c2);
-    y2 = _mm256_loadu_ps(c2 + 8);
-    x3 = _mm256_loadu_ps(c3);
-    y3 = _mm256_loadu_ps(c3 + 8);
+// True iff any lane of a compare mask is set: OR the upper half of the
+// lanes into the lower (__builtin_shufflevector) down to 4 lanes, then test
+// those as two 64-bit words.
+template <int W>
+[[gnu::always_inline]] inline bool AnyLane(
+    const typename VectorOf<int32_t, W>::type& mask) {
+  if constexpr (W == 4) {
+    uint64_t words[2];
+    std::memcpy(words, &mask, sizeof words);
+    return (words[0] | words[1]) != 0;
   } else {
-    x0 = y0 = x1 = y1 = x2 = y2 = x3 = y3 = _mm256_setzero_ps();
+    typename VectorOf<int32_t, W / 2>::type half;
+    [&]<int... I>(std::integer_sequence<int, I...>) {
+      half = __builtin_shufflevector(mask, mask, I...) |
+             __builtin_shufflevector(mask, mask, (I + W / 2)...);
+    }(std::make_integer_sequence<int, W / 2>{});
+    return AnyLane<W / 2>(half);
   }
-  for (int64_t p = 0; p < k; ++p) {
-    const float* bp = bpanel + p * b_p_stride;
-    const __m256 blo = _mm256_loadu_ps(bp);
-    const __m256 bhi = _mm256_loadu_ps(bp + 8);
-    const int64_t pa = p * a_p_stride;
-    __m256 av;
-    av = _mm256_set1_ps(a0[pa]);
-    x0 = _mm256_add_ps(x0, _mm256_mul_ps(av, blo));
-    y0 = _mm256_add_ps(y0, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a1[pa]);
-    x1 = _mm256_add_ps(x1, _mm256_mul_ps(av, blo));
-    y1 = _mm256_add_ps(y1, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a2[pa]);
-    x2 = _mm256_add_ps(x2, _mm256_mul_ps(av, blo));
-    y2 = _mm256_add_ps(y2, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a3[pa]);
-    x3 = _mm256_add_ps(x3, _mm256_mul_ps(av, blo));
-    y3 = _mm256_add_ps(y3, _mm256_mul_ps(av, bhi));
-  }
-  _mm256_storeu_ps(c0, x0);
-  _mm256_storeu_ps(c0 + 8, y0);
-  _mm256_storeu_ps(c1, x1);
-  _mm256_storeu_ps(c1 + 8, y1);
-  _mm256_storeu_ps(c2, x2);
-  _mm256_storeu_ps(c2 + 8, y2);
-  _mm256_storeu_ps(c3, x3);
-  _mm256_storeu_ps(c3 + 8, y3);
 }
 
-__attribute__((target("avx2"))) void TileSkipAvx2(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride,
-    const float* bpanel, int64_t b_p_stride, float* c, int64_t n, int64_t k,
-    int64_t i0, int64_t j0, bool accumulate) {
-  const float* a0 = a + (i0 + 0) * a_i_stride;
-  const float* a1 = a + (i0 + 1) * a_i_stride;
-  const float* a2 = a + (i0 + 2) * a_i_stride;
-  const float* a3 = a + (i0 + 3) * a_i_stride;
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  __m256 x0, y0, x1, y1, x2, y2, x3, y3;
-  if (accumulate) {
-    x0 = _mm256_loadu_ps(c0);
-    y0 = _mm256_loadu_ps(c0 + 8);
-    x1 = _mm256_loadu_ps(c1);
-    y1 = _mm256_loadu_ps(c1 + 8);
-    x2 = _mm256_loadu_ps(c2);
-    y2 = _mm256_loadu_ps(c2 + 8);
-    x3 = _mm256_loadu_ps(c3);
-    y3 = _mm256_loadu_ps(c3 + 8);
-  } else {
-    x0 = y0 = x1 = y1 = x2 = y2 = x3 = y3 = _mm256_setzero_ps();
-  }
-  for (int64_t p = 0; p < k; ++p) {
-    const float* bp = bpanel + p * b_p_stride;
-    const __m256 blo = _mm256_loadu_ps(bp);
-    const __m256 bhi = _mm256_loadu_ps(bp + 8);
-    const int64_t pa = p * a_p_stride;
-    const float s0 = a0[pa];
-    if (s0 != 0.0f) {
-      const __m256 av = _mm256_set1_ps(s0);
-      x0 = _mm256_add_ps(x0, _mm256_mul_ps(av, blo));
-      y0 = _mm256_add_ps(y0, _mm256_mul_ps(av, bhi));
-    }
-    const float s1 = a1[pa];
-    if (s1 != 0.0f) {
-      const __m256 av = _mm256_set1_ps(s1);
-      x1 = _mm256_add_ps(x1, _mm256_mul_ps(av, blo));
-      y1 = _mm256_add_ps(y1, _mm256_mul_ps(av, bhi));
-    }
-    const float s2 = a2[pa];
-    if (s2 != 0.0f) {
-      const __m256 av = _mm256_set1_ps(s2);
-      x2 = _mm256_add_ps(x2, _mm256_mul_ps(av, blo));
-      y2 = _mm256_add_ps(y2, _mm256_mul_ps(av, bhi));
-    }
-    const float s3 = a3[pa];
-    if (s3 != 0.0f) {
-      const __m256 av = _mm256_set1_ps(s3);
-      x3 = _mm256_add_ps(x3, _mm256_mul_ps(av, blo));
-      y3 = _mm256_add_ps(y3, _mm256_mul_ps(av, bhi));
-    }
-  }
-  _mm256_storeu_ps(c0, x0);
-  _mm256_storeu_ps(c0 + 8, y0);
-  _mm256_storeu_ps(c1, x1);
-  _mm256_storeu_ps(c1 + 8, y1);
-  _mm256_storeu_ps(c2, x2);
-  _mm256_storeu_ps(c2 + 8, y2);
-  _mm256_storeu_ps(c3, x3);
-  _mm256_storeu_ps(c3 + 8, y3);
-}
-
-__attribute__((target("avx2"))) void NtTileAvx2(const float* a,
-                                                const float* bpanel, float* c,
-                                                int64_t n, int64_t k,
-                                                int64_t i0, int64_t j0,
-                                                bool accumulate) {
-  const float* a0 = a + (i0 + 0) * k;
-  const float* a1 = a + (i0 + 1) * k;
-  const float* a2 = a + (i0 + 2) * k;
-  const float* a3 = a + (i0 + 3) * k;
-  __m256 x0, y0, x1, y1, x2, y2, x3, y3;
-  x0 = y0 = x1 = y1 = x2 = y2 = x3 = y3 = _mm256_setzero_ps();
-  for (int64_t p = 0; p < k; ++p) {
-    const float* bp = bpanel + p * NR;
-    const __m256 blo = _mm256_loadu_ps(bp);
-    const __m256 bhi = _mm256_loadu_ps(bp + 8);
-    __m256 av;
-    av = _mm256_set1_ps(a0[p]);
-    x0 = _mm256_add_ps(x0, _mm256_mul_ps(av, blo));
-    y0 = _mm256_add_ps(y0, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a1[p]);
-    x1 = _mm256_add_ps(x1, _mm256_mul_ps(av, blo));
-    y1 = _mm256_add_ps(y1, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a2[p]);
-    x2 = _mm256_add_ps(x2, _mm256_mul_ps(av, blo));
-    y2 = _mm256_add_ps(y2, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a3[p]);
-    x3 = _mm256_add_ps(x3, _mm256_mul_ps(av, blo));
-    y3 = _mm256_add_ps(y3, _mm256_mul_ps(av, bhi));
-  }
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  if (accumulate) {
-    // C first, dot second — the reference's `c += dot` operand order.
-    x0 = _mm256_add_ps(_mm256_loadu_ps(c0), x0);
-    y0 = _mm256_add_ps(_mm256_loadu_ps(c0 + 8), y0);
-    x1 = _mm256_add_ps(_mm256_loadu_ps(c1), x1);
-    y1 = _mm256_add_ps(_mm256_loadu_ps(c1 + 8), y1);
-    x2 = _mm256_add_ps(_mm256_loadu_ps(c2), x2);
-    y2 = _mm256_add_ps(_mm256_loadu_ps(c2 + 8), y2);
-    x3 = _mm256_add_ps(_mm256_loadu_ps(c3), x3);
-    y3 = _mm256_add_ps(_mm256_loadu_ps(c3 + 8), y3);
-  }
-  _mm256_storeu_ps(c0, x0);
-  _mm256_storeu_ps(c0 + 8, y0);
-  _mm256_storeu_ps(c1, x1);
-  _mm256_storeu_ps(c1 + 8, y1);
-  _mm256_storeu_ps(c2, x2);
-  _mm256_storeu_ps(c2 + 8, y2);
-  _mm256_storeu_ps(c3, x3);
-  _mm256_storeu_ps(c3 + 8, y3);
-}
-
-// ---- AVX-512 tiles: NR = one 16-lane register per row, 4 accumulators ----
-
-__attribute__((target("avx512f"))) void TileDenseAvx512(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride,
-    const float* bpanel, int64_t b_p_stride, float* c, int64_t n, int64_t k,
-    int64_t i0, int64_t j0, bool accumulate) {
-  const float* a0 = a + (i0 + 0) * a_i_stride;
-  const float* a1 = a + (i0 + 1) * a_i_stride;
-  const float* a2 = a + (i0 + 2) * a_i_stride;
-  const float* a3 = a + (i0 + 3) * a_i_stride;
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  __m512 r0, r1, r2, r3;
-  if (accumulate) {
-    r0 = _mm512_loadu_ps(c0);
-    r1 = _mm512_loadu_ps(c1);
-    r2 = _mm512_loadu_ps(c2);
-    r3 = _mm512_loadu_ps(c3);
-  } else {
-    r0 = r1 = r2 = r3 = _mm512_setzero_ps();
-  }
-  for (int64_t p = 0; p < k; ++p) {
-    const __m512 b = _mm512_loadu_ps(bpanel + p * b_p_stride);
-    const int64_t pa = p * a_p_stride;
-    r0 = _mm512_add_ps(r0, _mm512_mul_ps(_mm512_set1_ps(a0[pa]), b));
-    r1 = _mm512_add_ps(r1, _mm512_mul_ps(_mm512_set1_ps(a1[pa]), b));
-    r2 = _mm512_add_ps(r2, _mm512_mul_ps(_mm512_set1_ps(a2[pa]), b));
-    r3 = _mm512_add_ps(r3, _mm512_mul_ps(_mm512_set1_ps(a3[pa]), b));
-  }
-  _mm512_storeu_ps(c0, r0);
-  _mm512_storeu_ps(c1, r1);
-  _mm512_storeu_ps(c2, r2);
-  _mm512_storeu_ps(c3, r3);
-}
-
-__attribute__((target("avx512f"))) void TileSkipAvx512(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride,
-    const float* bpanel, int64_t b_p_stride, float* c, int64_t n, int64_t k,
-    int64_t i0, int64_t j0, bool accumulate) {
-  const float* a0 = a + (i0 + 0) * a_i_stride;
-  const float* a1 = a + (i0 + 1) * a_i_stride;
-  const float* a2 = a + (i0 + 2) * a_i_stride;
-  const float* a3 = a + (i0 + 3) * a_i_stride;
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  __m512 r0, r1, r2, r3;
-  if (accumulate) {
-    r0 = _mm512_loadu_ps(c0);
-    r1 = _mm512_loadu_ps(c1);
-    r2 = _mm512_loadu_ps(c2);
-    r3 = _mm512_loadu_ps(c3);
-  } else {
-    r0 = r1 = r2 = r3 = _mm512_setzero_ps();
-  }
-  for (int64_t p = 0; p < k; ++p) {
-    const __m512 b = _mm512_loadu_ps(bpanel + p * b_p_stride);
-    const int64_t pa = p * a_p_stride;
-    const float s0 = a0[pa];
-    if (s0 != 0.0f) r0 = _mm512_add_ps(r0, _mm512_mul_ps(_mm512_set1_ps(s0), b));
-    const float s1 = a1[pa];
-    if (s1 != 0.0f) r1 = _mm512_add_ps(r1, _mm512_mul_ps(_mm512_set1_ps(s1), b));
-    const float s2 = a2[pa];
-    if (s2 != 0.0f) r2 = _mm512_add_ps(r2, _mm512_mul_ps(_mm512_set1_ps(s2), b));
-    const float s3 = a3[pa];
-    if (s3 != 0.0f) r3 = _mm512_add_ps(r3, _mm512_mul_ps(_mm512_set1_ps(s3), b));
-  }
-  _mm512_storeu_ps(c0, r0);
-  _mm512_storeu_ps(c1, r1);
-  _mm512_storeu_ps(c2, r2);
-  _mm512_storeu_ps(c3, r3);
-}
-
-__attribute__((target("avx512f"))) void NtTileAvx512(
-    const float* a, const float* bpanel, float* c, int64_t n, int64_t k,
-    int64_t i0, int64_t j0, bool accumulate) {
-  const float* a0 = a + (i0 + 0) * k;
-  const float* a1 = a + (i0 + 1) * k;
-  const float* a2 = a + (i0 + 2) * k;
-  const float* a3 = a + (i0 + 3) * k;
-  __m512 r0, r1, r2, r3;
-  r0 = r1 = r2 = r3 = _mm512_setzero_ps();
-  for (int64_t p = 0; p < k; ++p) {
-    const __m512 b = _mm512_loadu_ps(bpanel + p * NR);
-    r0 = _mm512_add_ps(r0, _mm512_mul_ps(_mm512_set1_ps(a0[p]), b));
-    r1 = _mm512_add_ps(r1, _mm512_mul_ps(_mm512_set1_ps(a1[p]), b));
-    r2 = _mm512_add_ps(r2, _mm512_mul_ps(_mm512_set1_ps(a2[p]), b));
-    r3 = _mm512_add_ps(r3, _mm512_mul_ps(_mm512_set1_ps(a3[p]), b));
-  }
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  if (accumulate) {
-    // C first, dot second — the reference's `c += dot` operand order.
-    r0 = _mm512_add_ps(_mm512_loadu_ps(c0), r0);
-    r1 = _mm512_add_ps(_mm512_loadu_ps(c1), r1);
-    r2 = _mm512_add_ps(_mm512_loadu_ps(c2), r2);
-    r3 = _mm512_add_ps(_mm512_loadu_ps(c3), r3);
-  }
-  _mm512_storeu_ps(c0, r0);
-  _mm512_storeu_ps(c1, r1);
-  _mm512_storeu_ps(c2, r2);
-  _mm512_storeu_ps(c3, r3);
-}
-
-// Vector zero scans: only the contiguous-row layout (NN path, a_p_stride ==
-// 1) vectorizes; the strided TN layout falls back to the scalar scan. A
-// prescan is a pure predicate — speeding it up cannot change any result.
-
-__attribute__((target("avx2"))) bool TileHasZeroAvx2(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride, int64_t i0,
-    int64_t k) {
+template <int W>
+[[gnu::always_inline]] inline bool TileHasZero(const float* a,
+                                               int64_t a_i_stride,
+                                               int64_t a_p_stride, int64_t i0,
+                                               int64_t k) {
   if (a_p_stride != 1) {
     return TileHasZeroScalar(a, a_i_stride, a_p_stride, i0, k);
   }
-  const __m256 zero = _mm256_setzero_ps();
+  using V = typename VectorOf<float, W>::type;
   for (int r = 0; r < MR; ++r) {
     const float* ar = a + (i0 + r) * a_i_stride;
+    typename VectorOf<int32_t, W>::type zero = {};
     int64_t p = 0;
-    for (; p + 8 <= k; p += 8) {
-      const __m256 eq =
-          _mm256_cmp_ps(_mm256_loadu_ps(ar + p), zero, _CMP_EQ_OQ);
-      if (_mm256_movemask_ps(eq) != 0) return true;
+    for (; p + W <= k; p += W) {
+      V v;
+      std::memcpy(&v, ar + p, sizeof v);
+      zero |= v == 0.0f;
     }
+    if (AnyLane<W>(zero)) return true;
     for (; p < k; ++p) {
       if (ar[p] == 0.0f) return true;
     }
@@ -462,62 +198,53 @@ __attribute__((target("avx2"))) bool TileHasZeroAvx2(
   return false;
 }
 
-__attribute__((target("avx512f"))) bool TileHasZeroAvx512(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride, int64_t i0,
-    int64_t k) {
-  if (a_p_stride != 1) {
-    return TileHasZeroScalar(a, a_i_stride, a_p_stride, i0, k);
-  }
-  const __m512 zero = _mm512_setzero_ps();
-  for (int r = 0; r < MR; ++r) {
-    const float* ar = a + (i0 + r) * a_i_stride;
-    int64_t p = 0;
-    for (; p + 16 <= k; p += 16) {
-      if (_mm512_cmp_ps_mask(_mm512_loadu_ps(ar + p), zero, _CMP_EQ_OQ)) {
-        return true;
-      }
-    }
-    if (p < k) {
-      // Masked tail load: lanes past k are never touched (no OOB read) and
-      // zeroed lanes are excluded from the compare by the same mask.
-      const __mmask16 tail = static_cast<__mmask16>((1u << (k - p)) - 1);
-      if (_mm512_mask_cmp_ps_mask(tail, _mm512_maskz_loadu_ps(tail, ar + p),
-                                  zero, _CMP_EQ_OQ)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-#endif  // DELREC_GEMM_X86
-
 struct TileSet {
   TileFn dense;
   TileFn skip;
-  NtTileFn nt;
+  TileFn nt;
   ZeroScanFn has_zero;
   const char* isa;
 };
 
-const TileSet& PickTiles() {
-  static const TileSet tiles = [] {
 #if DELREC_GEMM_X86
-    if (__builtin_cpu_supports("avx512f")) {
-      return TileSet{TileDenseAvx512, TileSkipAvx512, NtTileAvx512,
-                     TileHasZeroAvx512, "avx512"};
-    }
-    if (__builtin_cpu_supports("avx2")) {
-      return TileSet{TileDenseAvx2, TileSkipAvx2, NtTileAvx2, TileHasZeroAvx2,
-                     "avx2"};
-    }
-    return TileSet{TileDenseScalar, TileSkipScalar, NtTileScalar,
-                   TileHasZeroScalar, "sse2"};
-#else
-    return TileSet{TileDenseScalar, TileSkipScalar, NtTileScalar,
-                   TileHasZeroScalar, "portable"};
+// Compiles an always-inline body into a function of the named target, so
+// its vectors get that target's registers. Only pointers and scalars cross
+// the call: a wide vector passed by value outside a target context would
+// change the ABI.
+template <auto kBody, typename R, typename... Args>
+[[gnu::target("avx512f")]] R InAvx512(Args... args) {
+  return kBody(args...);
+}
+template <auto kBody, typename R, typename... Args>
+[[gnu::target("avx2")]] R InAvx2(Args... args) {
+  return kBody(args...);
+}
 #endif
-  }();
+
+TileSet TilesFor(GemmTileWidth width) {
+#if DELREC_GEMM_X86
+  if (width == GemmTileWidth::k16) {
+    return {InAvx512<Tile<16, false, true>>, InAvx512<Tile<16, true, true>>,
+            InAvx512<Tile<16, false, false>>, InAvx512<TileHasZero<16>>,
+            "avx512"};
+  }
+  if (width == GemmTileWidth::k8) {
+    return {InAvx2<Tile<8, false, true>>, InAvx2<Tile<8, true, true>>,
+            InAvx2<Tile<8, false, false>>, InAvx2<TileHasZero<8>>, "avx2"};
+  }
+  const char* isa = "sse2";
+#else
+  const char* isa = "portable";
+#endif
+  return {Tile<4, false, true>, Tile<4, true, true>, Tile<4, false, false>,
+          TileHasZero<4>, isa};
+}
+
+const TileSet& PickTiles() {
+  static const TileSet tiles =
+      TilesFor(GemmTileWidthSupported(GemmTileWidth::k16) ? GemmTileWidth::k16
+               : GemmTileWidthSupported(GemmTileWidth::k8) ? GemmTileWidth::k8
+                                                           : GemmTileWidth::k4);
   return tiles;
 }
 
@@ -619,12 +346,11 @@ void AxBRows(const AxBContext& ctx, int64_t row_begin, int64_t row_end) {
   }
 }
 
-void BlockedAxB(const float* a, int64_t a_i_stride, int64_t a_p_stride,
-                const float* b, float* c, int64_t m, int64_t n, int64_t k,
-                bool accumulate) {
+void BlockedAxB(const TileSet& tiles, const float* a, int64_t a_i_stride,
+                int64_t a_p_stride, const float* b, float* c, int64_t m,
+                int64_t n, int64_t k, bool accumulate) {
   if (m == 0 || n == 0) return;
   const int64_t num_panels = (n + NR - 1) / NR;
-  const TileSet& tiles = PickTiles();
   // Pack B into contiguous NR-wide panels once per call when enough row
   // tiles will reuse it (the pack is one extra pass over B; with few rows
   // the in-place panel view is cheaper). Edge-panel lanes past n are zeroed
@@ -693,7 +419,7 @@ struct NtContext {
   int64_t k;
   int64_t num_panels;
   bool accumulate;
-  NtTileFn tile;
+  TileFn tile;
 };
 
 void NtPackedRows(const NtContext& ctx, int64_t row_begin, int64_t row_end) {
@@ -704,12 +430,13 @@ void NtPackedRows(const NtContext& ctx, int64_t row_begin, int64_t row_end) {
       const int nr = static_cast<int>(std::min<int64_t>(NR, ctx.n - j0));
       const float* bpanel = ctx.packed + jb * ctx.k * NR;
       if (mr == MR && nr == NR) {
-        ctx.tile(ctx.a, bpanel, ctx.c, ctx.n, ctx.k, i, j0, ctx.accumulate);
+        ctx.tile(ctx.a, /*a_i_stride=*/ctx.k, /*a_p_stride=*/1, bpanel, NR,
+                 ctx.c, ctx.n, ctx.k, i, j0, ctx.accumulate);
       } else if (mr == MR) {
         ViaLocalTile(ctx.c, ctx.n, i, j0, nr, ctx.accumulate,
                      [&](float* local) {
-                       ctx.tile(ctx.a + i * ctx.k, bpanel, local, NR, ctx.k,
-                                /*i0=*/0, /*j0=*/0, ctx.accumulate);
+                       ctx.tile(ctx.a + i * ctx.k, ctx.k, 1, bpanel, NR, local,
+                                NR, ctx.k, /*i0=*/0, /*j0=*/0, ctx.accumulate);
                      });
       } else {
         NtPanelEdge(ctx.a, bpanel, ctx.c, ctx.n, ctx.k, i, mr, j0, nr,
@@ -775,28 +502,12 @@ void NtDotRows(const NtContext& ctx, int64_t row_begin, int64_t row_end) {
   }
 }
 
-}  // namespace
-
-void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t n,
-            int64_t k, bool accumulate) {
-  BlockedAxB(a, /*a_i_stride=*/k, /*a_p_stride=*/1, b, c, m, n, k,
-             accumulate);
-}
-
-void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t n,
-            int64_t k, bool accumulate) {
-  // A stored (K,M): A(i,p) = a[p·m + i].
-  BlockedAxB(a, /*a_i_stride=*/1, /*a_p_stride=*/m, b, c, m, n, k,
-             accumulate);
-}
-
-void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t n,
-            int64_t k, bool accumulate) {
+void BlockedNT(const TileSet& tiles, const float* a, const float* b,
+               float* c, int64_t m, int64_t n, int64_t k, bool accumulate) {
   if (m == 0 || n == 0) return;
   const int64_t num_panels = (n + NR - 1) / NR;
   util::ScopedArena arena;
-  NtContext ctx{a, b, nullptr, c, n, k, num_panels, accumulate,
-                PickTiles().nt};
+  NtContext ctx{a, b, nullptr, c, n, k, num_panels, accumulate, tiles.nt};
   if (m >= kGemmPackMinRows) {
     // Transpose-pack B so the microkernel reads NR output columns per load;
     // the pack costs one pass over B, amortized across m/MR row tiles. The
@@ -820,6 +531,56 @@ void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t n,
       NtDotRows(ctx, row_begin, row_end);
     });
   }
+}
+
+TileSet SupportedTiles(GemmTileWidth width) {
+  DELREC_CHECK(GemmTileWidthSupported(width));
+  return TilesFor(width);
+}
+
+}  // namespace
+
+void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t n,
+            int64_t k, bool accumulate) {
+  BlockedAxB(PickTiles(), a, /*a_i_stride=*/k, /*a_p_stride=*/1, b, c, m, n,
+             k, accumulate);
+}
+
+void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t n,
+            int64_t k, bool accumulate) {
+  // A stored (K,M): A(i,p) = a[p·m + i].
+  BlockedAxB(PickTiles(), a, /*a_i_stride=*/1, /*a_p_stride=*/m, b, c, m, n,
+             k, accumulate);
+}
+
+void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t n,
+            int64_t k, bool accumulate) {
+  BlockedNT(PickTiles(), a, b, c, m, n, k, accumulate);
+}
+
+bool GemmTileWidthSupported(GemmTileWidth width) {
+#if DELREC_GEMM_X86
+  if (width == GemmTileWidth::k16) return __builtin_cpu_supports("avx512f");
+  if (width == GemmTileWidth::k8) return __builtin_cpu_supports("avx2");
+#endif
+  return width == GemmTileWidth::k4;
+}
+
+void GemmNNWith(GemmTileWidth width, const float* a, const float* b, float* c,
+                int64_t m, int64_t n, int64_t k, bool accumulate) {
+  BlockedAxB(SupportedTiles(width), a, /*a_i_stride=*/k, /*a_p_stride=*/1, b,
+             c, m, n, k, accumulate);
+}
+
+void GemmTNWith(GemmTileWidth width, const float* a, const float* b, float* c,
+                int64_t m, int64_t n, int64_t k, bool accumulate) {
+  BlockedAxB(SupportedTiles(width), a, /*a_i_stride=*/1, /*a_p_stride=*/m, b,
+             c, m, n, k, accumulate);
+}
+
+void GemmNTWith(GemmTileWidth width, const float* a, const float* b, float* c,
+                int64_t m, int64_t n, int64_t k, bool accumulate) {
+  BlockedNT(SupportedTiles(width), a, b, c, m, n, k, accumulate);
 }
 
 // -- Reference kernels --------------------------------------------------------

@@ -35,12 +35,13 @@ namespace delrec::nn {
 /// local C tile; only row remainders and unpacked calls take the scalar
 /// edge path.
 ///
-/// The full tiles are hand-written intrinsic kernels (AVX-512F, AVX2, plus
-/// a portable scalar fallback) selected once per GEMM call via
-/// __builtin_cpu_supports. Lane-parallel mul/add is IEEE-identical per lane
-/// to scalar, and the GEMM translation unit is built with -ffp-contract=off
-/// so no FMA contraction can split blocked and reference numerics — the ISA
-/// choice never changes results.
+/// Each full tile has one body, written in GCC vector extensions and
+/// templated on the vector width: 16 lanes compiled for AVX-512F, 8 for
+/// AVX2, and 4 for the baseline tier (SSE2 on x86-64, portable elsewhere),
+/// selected once per GEMM call via __builtin_cpu_supports. Lane-parallel
+/// mul/add is IEEE-identical per lane to scalar, and the GEMM translation
+/// unit is built with -ffp-contract=off so no FMA contraction can split
+/// blocked and reference numerics — the width never changes results.
 
 inline constexpr int kGemmRowTile = 4;   // MR: C rows per microkernel tile.
 inline constexpr int kGemmColTile = 16;  // NR: C columns per microkernel tile.
@@ -77,6 +78,19 @@ std::string GemmKernelConfig();
 /// "portable") — recorded as config.isa in BENCH_*.json so baselines gate
 /// only against like-for-like hardware runs.
 std::string GemmKernelIsa();
+
+/// Test hooks: run one GEMM on the tiles of a named vector width (k16 is
+/// the "avx512" tier, k8 "avx2", k4 "sse2"/"portable").
+/// `GemmTileWidthSupported` says whether this host can run it (k4 always
+/// can). Every width returns the references' bits.
+enum class GemmTileWidth { k4 = 4, k8 = 8, k16 = 16 };
+bool GemmTileWidthSupported(GemmTileWidth width);
+void GemmNNWith(GemmTileWidth width, const float* a, const float* b, float* c,
+                int64_t m, int64_t n, int64_t k, bool accumulate);
+void GemmNTWith(GemmTileWidth width, const float* a, const float* b, float* c,
+                int64_t m, int64_t n, int64_t k, bool accumulate);
+void GemmTNWith(GemmTileWidth width, const float* a, const float* b, float* c,
+                int64_t m, int64_t n, int64_t k, bool accumulate);
 
 }  // namespace delrec::nn
 

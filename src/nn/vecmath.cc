@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <utility>
 
 #include "util/check.h"
 
@@ -24,10 +26,10 @@
 namespace delrec::nn {
 namespace {
 
-// The softmax's lane count: column j of a row feeds lane j % kLanes. AVX-512
-// holds the 16 lanes in one register, AVX2 in two 8-lane halves, and the
-// scalar twin in an array. A row's last block is padded to 16 lanes with
-// −inf, which never wins the max and whose exp is exactly 0.
+// The softmax's lane count: column j of a row feeds lane j % kLanes. A
+// vector body holds the 16 lanes as 16/W vectors of W lanes, the scalar twin
+// in an array. A row's last block is padded to 16 lanes with −inf, which
+// never wins the max and whose exp is exactly 0.
 constexpr int kLanes = 16;
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
@@ -172,245 +174,175 @@ void GeluRowsScalar(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = GeluScalar(x[i]);
 }
 
+// ---- Vector bodies: one template per pass, W lanes per vector ----
+// The 16 lanes are held as 16/W vectors of W lanes (vector v holds lanes
+// [v·W, v·W + W)), and every lane performs its scalar twin's operations in
+// the same order. The body is instantiated at 16 lanes under
+// target("avx512f"), at 8 under target("avx2,fma"), and at 4 for every
+// other host.
+// Wide vectors cross no function boundary by value (outside a target
+// context that changes the ABI): the lane ops below update their first
+// operand in place.
+
+// W lanes of T. The member alias is what makes W a real dependent vector
+// size (GCC drops the attribute on an alias template).
+template <typename T, int W>
+struct VectorOf {
+  using type [[gnu::vector_size(W * sizeof(T))]] = T;
+};
+
+// MaxLane and + as in-place lane ops, on floats or vectors alike. `b < a`
+// is `a > b`, spelled so that GCC emits the max instruction instead of a
+// compare and a blend.
+constexpr auto kMaxInPlace = [](auto& a, const auto& b) { a = b < a ? a : b; };
+constexpr auto kAddInPlace = [](auto& a, const auto& b) { a += b; };
+
+// ReduceLanes' tree on one vector: halve it with __builtin_shufflevector,
+// the lower half always the first operand, down to one lane.
+template <int W, typename Op>
+[[gnu::always_inline]] inline float HalveLanes(
+    const typename VectorOf<float, W>::type& v, Op op) {
+  if constexpr (W == 2) {
+    float lo = v[0];
+    op(lo, v[1]);
+    return lo;
+  } else {
+    typename VectorOf<float, W / 2>::type lo, hi;
+    [&]<int... I>(std::integer_sequence<int, I...>) {
+      lo = __builtin_shufflevector(v, v, I...);
+      hi = __builtin_shufflevector(v, v, (I + W / 2)...);
+    }(std::make_integer_sequence<int, W / 2>{});
+    op(lo, hi);
+    return HalveLanes<W / 2>(lo, op);
+  }
+}
+
+template <int W>
+using Lanes = typename VectorOf<float, W>::type[kLanes / W];
+
+// Every loop over a body's vectors is fully unrolled, so each index into a
+// Lanes array is a constant and the array lives in registers; GCC keeps an
+// array indexed at run time in memory.
+
+// ReduceLanes on the 16 lanes as kLanes/W vectors: lane l and lane
+// l + width sit in different vectors until width < W, then in one.
+template <int W, typename Op>
+[[gnu::always_inline]] inline float ReduceVectorLanes(Lanes<W>& v, Op op) {
+#pragma GCC unroll 4
+  for (int half = kLanes / W / 2; half >= 1; half /= 2) {
+#pragma GCC unroll 4
+    for (int i = 0; i < half; ++i) op(v[i], v[i + half]);
+  }
+  return HalveLanes<W>(v[0], op);
+}
+
+// x ← ExpScalar(x·scale − shift), lane for lane.
+template <int W>
+[[gnu::always_inline]] inline void ScaledExpInPlace(
+    typename VectorOf<float, W>::type& x, float scale, float shift) {
+  using V = typename VectorOf<float, W>::type;
+  using U = typename VectorOf<uint32_t, W>::type;
+  x = x * scale - shift;
+  kMaxInPlace(x, V{} + kExpLo);
+  const V shifted = x * kLog2e + kRound;
+  const V n = shifted - kRound;
+  const V r = (x - n * kLn2Hi) - n * kLn2Lo;
+  const V z = r * r;
+  V y = kP0 * r + kP1;
+  y = y * r + kP2;
+  y = y * r + kP3;
+  y = y * r + kP4;
+  y = y * r + kP5;
+  y = (y * z + r) + 1.0f;
+  const U pow2n = (__builtin_bit_cast(U, shifted) - uint32_t{kExpBias}) << 23;
+  x = y * __builtin_bit_cast(V, pow2n);
+}
+
+// A row's last, partial block of n < 16 columns, padded to 16 lanes with
+// −inf in a local array, so no load or store reaches past the end of the
+// row. Both loops run the fixed 16 lanes (a loop over n would become a
+// library call).
+struct Tail {
+  float lanes[kLanes];
+  Tail(const float* block, int n) {
+    for (int l = 0; l < kLanes; ++l) lanes[l] = l < n ? block[l] : -kInf;
+  }
+  void CopyTo(float* block, int n) const {
+    for (int l = 0; l < kLanes; ++l) {
+      if (l < n) block[l] = lanes[l];
+    }
+  }
+};
+
+template <int W>
+[[gnu::always_inline]] inline void MaxBlock(const float* block, Lanes<W>& m) {
+  using V = typename VectorOf<float, W>::type;
+#pragma GCC unroll 4
+  for (int v = 0; v < kLanes / W; ++v) {
+    V x;
+    std::memcpy(&x, block + v * W, sizeof x);
+    kMaxInPlace(m[v], x);
+  }
+}
+
+template <int W>
+[[gnu::always_inline]] inline float RowMax(const float* row, int64_t cols) {
+  using V = typename VectorOf<float, W>::type;
+  Lanes<W> m;
+#pragma GCC unroll 4
+  for (V& v : m) v = V{} - kInf;
+  const int64_t full = cols - cols % kLanes;
+  for (int64_t j = 0; j < full; j += kLanes) MaxBlock<W>(row + j, m);
+  if (full < cols) {
+    MaxBlock<W>(Tail(row + full, static_cast<int>(cols - full)).lanes, m);
+  }
+  return ReduceVectorLanes<W>(m, kMaxInPlace);
+}
+
+// Replaces a block with its exps and adds them into the lane sums.
+template <int W>
+[[gnu::always_inline]] inline void ExpSumBlock(float* block, Lanes<W>& s,
+                                               float scale, float shift) {
+  using V = typename VectorOf<float, W>::type;
+#pragma GCC unroll 4
+  for (int v = 0; v < kLanes / W; ++v) {
+    V e;
+    std::memcpy(&e, block + v * W, sizeof e);
+    ScaledExpInPlace<W>(e, scale, shift);
+    s[v] += e;
+    std::memcpy(block + v * W, &e, sizeof e);
+  }
+}
+
+template <int W>
+[[gnu::always_inline]] inline float RowExpSum(float* row, int64_t cols,
+                                              float scale, float shift) {
+  Lanes<W> s = {};
+  const int64_t full = cols - cols % kLanes;
+  for (int64_t j = 0; j < full; j += kLanes) {
+    ExpSumBlock<W>(row + j, s, scale, shift);
+  }
+  if (full < cols) {
+    const int n = static_cast<int>(cols - full);
+    Tail tail(row + full, n);
+    ExpSumBlock<W>(tail.lanes, s, scale, shift);
+    tail.CopyTo(row + full, n);
+  }
+  return ReduceVectorLanes<W>(s, kAddInPlace);
+}
+
 #if DELREC_VECMATH_X86
 
-// ---- ReduceLanes in registers, on the 16 lanes as two 8-lane halves ----
-// _mm_max_ps(a, b) is MaxLane(a, b), and every step keeps the lower lane as
-// the first operand.
-
-__attribute__((target("avx2"))) inline float ReduceMaxAvx2(__m256 lo,
-                                                         __m256 hi) {
-  const __m256 v8 = _mm256_max_ps(lo, hi);
-  const __m128 v4 = _mm_max_ps(_mm256_castps256_ps128(v8),
-                               _mm256_extractf128_ps(v8, 1));
-  const __m128 v2 = _mm_max_ps(v4, _mm_movehl_ps(v4, v4));
-  return _mm_cvtss_f32(_mm_max_ps(v2, _mm_shuffle_ps(v2, v2, 1)));
+// Compiles an always-inline body into a function of the named target, so
+// its vectors get that target's registers; only pointers and scalars cross
+// the call.
+template <auto kBody, typename R, typename... Args>
+[[gnu::target("avx512f")]] R InAvx512(Args... args) {
+  return kBody(args...);
 }
-
-__attribute__((target("avx2"))) inline float ReduceSumAvx2(__m256 lo,
-                                                         __m256 hi) {
-  const __m256 v8 = _mm256_add_ps(lo, hi);
-  const __m128 v4 = _mm_add_ps(_mm256_castps256_ps128(v8),
-                               _mm256_extractf128_ps(v8, 1));
-  const __m128 v2 = _mm_add_ps(v4, _mm_movehl_ps(v4, v4));
-  return _mm_cvtss_f32(_mm_add_ps(v2, _mm_shuffle_ps(v2, v2, 1)));
-}
-
-// ---- AVX-512: the 16 lanes in one register ----
-// GCC 12's _mm512_max_ps, _mm512_slli_epi32 and unmasked extracts pass an
-// undefined source vector that -Wmaybe-uninitialized flags. So max is a
-// compare plus blend with MaxLane's semantics, the exponent shift is a
-// multiply by 2^23, and halves come out of a masked extract with an explicit
-// source. The tail block is a masked load with −inf past the row.
-
-__attribute__((target("avx512f"))) inline __m512 MaxAvx512(__m512 a,
-                                                          __m512 b) {
-  return _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a, b, _CMP_GT_OQ), b, a);
-}
-
-__attribute__((target("avx512f"))) inline __m256 HalfAvx512(__m512 v,
-                                                          bool upper) {
-  const __m512d d = _mm512_castps_pd(v);
-  const __m256d zero = _mm256_setzero_pd();
-  return _mm256_castpd_ps(upper ? _mm512_mask_extractf64x4_pd(zero, 0xF, d, 1)
-                                : _mm512_mask_extractf64x4_pd(zero, 0xF, d, 0));
-}
-
-__attribute__((target("avx512f"))) inline __mmask16 TailMaskAvx512(
-    int64_t cols) {
-  return static_cast<__mmask16>((1u << (cols % kLanes)) - 1);
-}
-
-__attribute__((target("avx512f"))) inline __m512 ExpAvx512(__m512 x) {
-  x = MaxAvx512(x, _mm512_set1_ps(kExpLo));
-  const __m512 shifted = _mm512_add_ps(
-      _mm512_mul_ps(x, _mm512_set1_ps(kLog2e)), _mm512_set1_ps(kRound));
-  const __m512 n = _mm512_sub_ps(shifted, _mm512_set1_ps(kRound));
-  __m512 r = _mm512_sub_ps(x, _mm512_mul_ps(n, _mm512_set1_ps(kLn2Hi)));
-  r = _mm512_sub_ps(r, _mm512_mul_ps(n, _mm512_set1_ps(kLn2Lo)));
-  const __m512 z = _mm512_mul_ps(r, r);
-  __m512 y = _mm512_set1_ps(kP0);
-  y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(kP1));
-  y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(kP2));
-  y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(kP3));
-  y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(kP4));
-  y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(kP5));
-  y = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(y, z), r),
-                    _mm512_set1_ps(1.0f));
-  const __m512i pow2n = _mm512_mullo_epi32(
-      _mm512_sub_epi32(_mm512_castps_si512(shifted),
-                       _mm512_set1_epi32(kExpBias)),
-      _mm512_set1_epi32(1 << 23));
-  return _mm512_mul_ps(y, _mm512_castsi512_ps(pow2n));
-}
-
-// exp(v·scale − shift), the softmax's exp argument.
-__attribute__((target("avx512f"))) inline __m512 ScaledExpAvx512(
-    __m512 v, __m512 scale, __m512 shift) {
-  return ExpAvx512(_mm512_sub_ps(_mm512_mul_ps(v, scale), shift));
-}
-
-__attribute__((target("avx512f"))) float RowMaxAvx512(const float* row,
-                                                     int64_t cols) {
-  const int64_t full = cols - cols % kLanes;
-  const __m512 neg_inf = _mm512_set1_ps(-kInf);
-  __m512 m = neg_inf;
-  for (int64_t j = 0; j < full; j += kLanes) {
-    m = MaxAvx512(m, _mm512_loadu_ps(row + j));
-  }
-  if (full < cols) {
-    m = MaxAvx512(
-        m, _mm512_mask_loadu_ps(neg_inf, TailMaskAvx512(cols), row + full));
-  }
-  return ReduceMaxAvx2(HalfAvx512(m, false), HalfAvx512(m, true));
-}
-
-__attribute__((target("avx512f"))) float RowExpSumAvx512(float* row,
-                                                        int64_t cols,
-                                                        float scale,
-                                                        float shift) {
-  const int64_t full = cols - cols % kLanes;
-  const __m512 vscale = _mm512_set1_ps(scale);
-  const __m512 vshift = _mm512_set1_ps(shift);
-  // Two blocks per step so two exp chains overlap; the lane sums still take
-  // the blocks in ascending order.
-  __m512 s = _mm512_setzero_ps();
-  int64_t j = 0;
-  for (; j + 2 * kLanes <= full; j += 2 * kLanes) {
-    const __m512 e0 =
-        ScaledExpAvx512(_mm512_loadu_ps(row + j), vscale, vshift);
-    const __m512 e1 =
-        ScaledExpAvx512(_mm512_loadu_ps(row + j + kLanes), vscale, vshift);
-    _mm512_storeu_ps(row + j, e0);
-    _mm512_storeu_ps(row + j + kLanes, e1);
-    s = _mm512_add_ps(_mm512_add_ps(s, e0), e1);
-  }
-  if (j < full) {
-    const __m512 e = ScaledExpAvx512(_mm512_loadu_ps(row + j), vscale, vshift);
-    _mm512_storeu_ps(row + j, e);
-    s = _mm512_add_ps(s, e);
-  }
-  if (full < cols) {
-    const __mmask16 mask = TailMaskAvx512(cols);
-    const __m512 e = ScaledExpAvx512(
-        _mm512_mask_loadu_ps(_mm512_set1_ps(-kInf), mask, row + full), vscale,
-        vshift);
-    _mm512_mask_storeu_ps(row + full, mask, e);
-    s = _mm512_add_ps(s, e);
-  }
-  return ReduceSumAvx2(HalfAvx512(s, false), HalfAvx512(s, true));
-}
-
-// ---- AVX2: the same 16 lanes as two 8-lane halves ----
-
-__attribute__((target("avx2"))) inline __m256 ExpAvx2(__m256 x) {
-  x = _mm256_max_ps(x, _mm256_set1_ps(kExpLo));
-  const __m256 shifted = _mm256_add_ps(
-      _mm256_mul_ps(x, _mm256_set1_ps(kLog2e)), _mm256_set1_ps(kRound));
-  const __m256 n = _mm256_sub_ps(shifted, _mm256_set1_ps(kRound));
-  __m256 r = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(kLn2Hi)));
-  r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(kLn2Lo)));
-  const __m256 z = _mm256_mul_ps(r, r);
-  __m256 y = _mm256_set1_ps(kP0);
-  y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(kP1));
-  y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(kP2));
-  y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(kP3));
-  y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(kP4));
-  y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(kP5));
-  y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), r),
-                    _mm256_set1_ps(1.0f));
-  const __m256i pow2n = _mm256_slli_epi32(
-      _mm256_sub_epi32(_mm256_castps_si256(shifted),
-                       _mm256_set1_epi32(kExpBias)),
-      23);
-  return _mm256_mul_ps(y, _mm256_castsi256_ps(pow2n));
-}
-
-__attribute__((target("avx2"))) inline __m256 ScaledExpAvx2(__m256 v,
-                                                          __m256 scale,
-                                                          __m256 shift) {
-  return ExpAvx2(_mm256_sub_ps(_mm256_mul_ps(v, scale), shift));
-}
-
-// Where one half (lanes 0–7 or 8–15) of a row's tail block starts, and the
-// mask of its lanes that lie inside the row. The masked loads and stores
-// below touch only those lanes, and a half that starts past the row's end is
-// not addressed at all.
-int64_t TailHalfStart(int64_t cols, bool upper) {
-  return cols - cols % kLanes + (upper ? 8 : 0);
-}
-
-__attribute__((target("avx2"))) inline __m256i TailMaskAvx2(int64_t cols,
-                                                          bool upper) {
-  const int inside = static_cast<int>(cols - TailHalfStart(cols, upper));
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(inside),
-                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
-
-// The row's values in that half, −inf past the end.
-__attribute__((target("avx2"))) inline __m256 LoadTailAvx2(const float* row,
-                                                         int64_t cols,
-                                                         bool upper) {
-  const int64_t start = TailHalfStart(cols, upper);
-  if (start >= cols) return _mm256_set1_ps(-kInf);
-  const __m256i mask = TailMaskAvx2(cols, upper);
-  return _mm256_blendv_ps(_mm256_set1_ps(-kInf),
-                          _mm256_maskload_ps(row + start, mask),
-                          _mm256_castsi256_ps(mask));
-}
-
-__attribute__((target("avx2"))) inline void StoreTailAvx2(float* row,
-                                                        int64_t cols,
-                                                        bool upper, __m256 v) {
-  const int64_t start = TailHalfStart(cols, upper);
-  if (start < cols) {
-    _mm256_maskstore_ps(row + start, TailMaskAvx2(cols, upper), v);
-  }
-}
-
-__attribute__((target("avx2"))) float RowMaxAvx2(const float* row,
-                                                int64_t cols) {
-  const int64_t full = cols - cols % kLanes;
-  __m256 lo = _mm256_set1_ps(-kInf);
-  __m256 hi = lo;
-  for (int64_t j = 0; j < full; j += kLanes) {
-    lo = _mm256_max_ps(lo, _mm256_loadu_ps(row + j));
-    hi = _mm256_max_ps(hi, _mm256_loadu_ps(row + j + 8));
-  }
-  if (full < cols) {
-    lo = _mm256_max_ps(lo, LoadTailAvx2(row, cols, false));
-    hi = _mm256_max_ps(hi, LoadTailAvx2(row, cols, true));
-  }
-  return ReduceMaxAvx2(lo, hi);
-}
-
-__attribute__((target("avx2"))) float RowExpSumAvx2(float* row, int64_t cols,
-                                                   float scale, float shift) {
-  const int64_t full = cols - cols % kLanes;
-  const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256 vshift = _mm256_set1_ps(shift);
-  __m256 slo = _mm256_setzero_ps();
-  __m256 shi = slo;
-  for (int64_t j = 0; j < full; j += kLanes) {
-    const __m256 elo = ScaledExpAvx2(_mm256_loadu_ps(row + j), vscale, vshift);
-    const __m256 ehi =
-        ScaledExpAvx2(_mm256_loadu_ps(row + j + 8), vscale, vshift);
-    _mm256_storeu_ps(row + j, elo);
-    _mm256_storeu_ps(row + j + 8, ehi);
-    slo = _mm256_add_ps(slo, elo);
-    shi = _mm256_add_ps(shi, ehi);
-  }
-  if (full < cols) {
-    const __m256 elo =
-        ScaledExpAvx2(LoadTailAvx2(row, cols, false), vscale, vshift);
-    const __m256 ehi =
-        ScaledExpAvx2(LoadTailAvx2(row, cols, true), vscale, vshift);
-    StoreTailAvx2(row, cols, false, elo);
-    StoreTailAvx2(row, cols, true, ehi);
-    slo = _mm256_add_ps(slo, elo);
-    shi = _mm256_add_ps(shi, ehi);
-  }
-  return ReduceSumAvx2(slo, shi);
+template <auto kBody, typename R, typename... Args>
+[[gnu::target("avx2,fma")]] R InAvx2Fma(Args... args) {
+  return kBody(args...);
 }
 
 __attribute__((target("avx2,fma"))) void GeluRowsAvx2(float* x, int64_t n) {
@@ -459,12 +391,15 @@ struct Bodies {
 Bodies BodiesFor(VecMathBody body) {
 #if DELREC_VECMATH_X86
   if (body == VecMathBody::kAvx512) {
-    return {{RowMaxAvx512, RowExpSumAvx512}, GeluRowsAvx2};
+    return {{InAvx512<RowMax<16>>, InAvx512<RowExpSum<16>>}, GeluRowsAvx2};
   }
   if (body == VecMathBody::kAvx2) {
-    return {{RowMaxAvx2, RowExpSumAvx2}, GeluRowsAvx2};
+    return {{InAvx2Fma<RowMax<8>>, InAvx2Fma<RowExpSum<8>>}, GeluRowsAvx2};
   }
 #endif
+  if (body == VecMathBody::kVec4) {
+    return {{RowMax<4>, RowExpSum<4>}, GeluRowsScalar};
+  }
   return {{RowMaxScalar, RowExpSumScalar}, GeluRowsScalar};
 }
 
@@ -472,7 +407,7 @@ const Bodies& Dispatched() {
   static const Bodies bodies = BodiesFor(
       VecMathBodySupported(VecMathBody::kAvx512) ? VecMathBody::kAvx512
       : VecMathBodySupported(VecMathBody::kAvx2) ? VecMathBody::kAvx2
-                                                 : VecMathBody::kScalar);
+                                                 : VecMathBody::kVec4);
   return bodies;
 }
 
@@ -491,7 +426,7 @@ bool VecMathBodySupported(VecMathBody body) {
   }
   if (body == VecMathBody::kAvx2) return HasAvx2Fma();
 #endif
-  return body == VecMathBody::kScalar;
+  return body == VecMathBody::kScalar || body == VecMathBody::kVec4;
 }
 
 void ApproxSoftmaxRowsWith(VecMathBody body, float* x, int64_t rows,

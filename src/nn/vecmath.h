@@ -8,10 +8,12 @@ namespace delrec::nn {
 /// Vectorized row kernels for the int8 serve path (DESIGN.md §13): the
 /// attention softmax and the GELU, both approximations of the fp32 ops.
 ///
-/// Each kernel has SIMD bodies (AVX-512F and AVX2 for the softmax, AVX2+FMA
-/// for the GELU) and a scalar twin that performs the same IEEE operations in
-/// the same order lane for lane, so every body returns the same bits. The
-/// choice is made once per process via __builtin_cpu_supports. The fp32
+/// Each kernel has vector bodies and a scalar twin that performs the same
+/// IEEE operations in the same order lane for lane, so every body returns
+/// the same bits. The softmax has one body written in GCC vector extensions
+/// and templated on the vector width, instantiated at 16 lanes for AVX-512F,
+/// 8 for AVX2+FMA and 4 for every other host; the GELU has an AVX2+FMA body.
+/// The choice is made once per process via __builtin_cpu_supports. The fp32
 /// serve path and training never call these: they keep std::exp/std::tanh so
 /// that they stay bit-identical to each other.
 
@@ -34,9 +36,10 @@ void ApproxSoftmaxRows(float* x, int64_t rows, int64_t cols, float scale);
 void ApproxGelu(float* x, int64_t n);
 
 /// Test hooks: run one named body. `VecMathBodySupported` says whether this
-/// host can run it (kScalar always can). kAvx512 runs the AVX2 GELU, which
-/// has no 512-bit body.
-enum class VecMathBody { kScalar, kAvx2, kAvx512 };
+/// host can run it (kScalar and kVec4 always can). kVec4 is the 4-lane
+/// softmax with the scalar GELU; kAvx512 runs the AVX2 GELU, which has no
+/// 512-bit body.
+enum class VecMathBody { kScalar, kVec4, kAvx2, kAvx512 };
 bool VecMathBodySupported(VecMathBody body);
 void ApproxSoftmaxRowsWith(VecMathBody body, float* x, int64_t rows,
                            int64_t cols, float scale);

@@ -5,7 +5,8 @@
 // and the blocked kernels must reproduce that branch bit-for-bit. Runs at
 // several thread counts — GemmRows partitions rows, so the blocked result
 // must match the serial reference at every count (labeled `concurrency` for
-// the TSan suite).
+// the TSan suite) — and on every tile width the host supports, not only the
+// dispatched one.
 #include "nn/gemm.h"
 
 #include <gtest/gtest.h>
@@ -30,18 +31,24 @@ namespace {
 
 using GemmFn = void (*)(const float*, const float*, float*, int64_t, int64_t,
                         int64_t, bool);
+using GemmWithFn = void (*)(GemmTileWidth, const float*, const float*, float*,
+                            int64_t, int64_t, int64_t, bool);
 
 struct Variant {
   const char* name;
   GemmFn blocked;
+  GemmWithFn with;
   GemmFn reference;
 };
 
 const Variant kVariants[] = {
-    {"NN", GemmNN, GemmNNRef},
-    {"NT", GemmNT, GemmNTRef},
-    {"TN", GemmTN, GemmTNRef},
+    {"NN", GemmNN, GemmNNWith, GemmNNRef},
+    {"NT", GemmNT, GemmNTWith, GemmNTRef},
+    {"TN", GemmTN, GemmTNWith, GemmTNRef},
 };
+
+constexpr GemmTileWidth kWidths[] = {GemmTileWidth::k4, GemmTileWidth::k8,
+                                     GemmTileWidth::k16};
 
 // Crosses the 4-row / 16-column microtile edges, the m >= 8 pack threshold,
 // and the 8/16-lane vector widths, with margins of ±1 around each.
@@ -75,6 +82,18 @@ void ExpectBitIdentical(const Variant& variant, const std::vector<float>& a,
                 0)
           << variant.name << " m=" << m << " n=" << n << " k=" << k
           << " accumulate=" << accumulate << " threads=" << threads;
+      for (const GemmTileWidth width : kWidths) {
+        if (!GemmTileWidthSupported(width)) continue;
+        actual = c_init;
+        variant.with(width, a.data(), b.data(), actual.data(), m, n, k,
+                     accumulate);
+        ASSERT_EQ(std::memcmp(expected.data(), actual.data(),
+                              expected.size() * sizeof(float)),
+                  0)
+            << variant.name << " m=" << m << " n=" << n << " k=" << k
+            << " accumulate=" << accumulate << " threads=" << threads
+            << " lanes=" << static_cast<int>(width);
+      }
     }
   }
 }
@@ -181,6 +200,7 @@ TEST(GemmKernelTest, KernelConfigMentionsTileGeometry) {
   const std::string config = GemmKernelConfig();
   EXPECT_NE(config.find("4x16"), std::string::npos) << config;
   EXPECT_NE(config.find("isa="), std::string::npos) << config;
+  EXPECT_TRUE(GemmTileWidthSupported(GemmTileWidth::k4));
 }
 
 // ---- int8 kernels (nn/gemm_int8.h, nn/quant.h) ------------------------------

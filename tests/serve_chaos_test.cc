@@ -571,6 +571,15 @@ TEST_F(ServeChaosTest, SwapUnderLoadNeverTearsAVersion) {
   serve::RecommendationEngine engine(&handle, options);
 
   std::map<uint64_t, float> version_bias{{1, 1.0f}};
+  // The dispatcher counts a swap only between two batches it forms. Score
+  // one request on version 1 before any publish, so the probe on version 7
+  // below counts a swap however late the dispatcher first ran.
+  const serve::ScoreRequest first = MakeRequest(0);
+  const serve::ScoreResponse first_response = engine.ScoreAsync(first).get();
+  ASSERT_TRUE(first_response.status.ok()) << first_response.status.ToString();
+  EXPECT_EQ(first_response.snapshot_version, 1u);
+  EXPECT_EQ(first_response.scores, FakeScorer(1.0f).Score(first));
+
   std::atomic<bool> done{false};
   std::thread publisher([&] {
     for (int s = 0; s < 6; ++s) {

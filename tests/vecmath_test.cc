@@ -19,8 +19,8 @@
 namespace delrec::nn {
 namespace {
 
-constexpr VecMathBody kBodies[] = {VecMathBody::kScalar, VecMathBody::kAvx2,
-                                   VecMathBody::kAvx512};
+constexpr VecMathBody kBodies[] = {VecMathBody::kScalar, VecMathBody::kVec4,
+                                   VecMathBody::kAvx2, VecMathBody::kAvx512};
 // Attention's 1/√head_dim at head_dim 8.
 const float kScale = 1.0f / std::sqrt(8.0f);
 
@@ -28,6 +28,8 @@ const char* Name(VecMathBody body) {
   switch (body) {
     case VecMathBody::kScalar:
       return "scalar";
+    case VecMathBody::kVec4:
+      return "vec4";
     case VecMathBody::kAvx2:
       return "avx2";
     case VecMathBody::kAvx512:
