@@ -676,6 +676,61 @@ void BenchTwoTier(bench::BenchRecorder& recorder,
   recorder.Record("serve_two_tier_student_speedup", student_speedup, "x",
                   bench::MetricKind::kRatio);
 
+  // Layer numbers of the SR tier (DESIGN.md §17): per-request µs of the
+  // student's and the SASRec hint backbone's tape-free ScoreAllItemsBatch
+  // at batch 1 and 16, and of the autograd TrainingLogits forward it
+  // replaced at inference, all over the same histories. Advisory timings.
+  std::vector<std::vector<int64_t>> histories;
+  for (const serve::ScoreRequest& request : requests) {
+    histories.push_back(request.history);
+  }
+  auto per_request_us = [&](const auto& pass) {
+    constexpr int kPasses = 3;
+    double best = std::numeric_limits<double>::infinity();
+    for (int i = 0; i <= kPasses; ++i) {  // Pass 0 is warm-up.
+      util::WallTimer timer;
+      pass();
+      if (i > 0) best = std::min(best, timer.ElapsedSeconds());
+    }
+    return best / static_cast<double>(histories.size()) * 1e6;
+  };
+  auto record_sr_layers = [&](const std::string& name,
+                              const srmodels::SequentialRecommender& sr) {
+    const double batch1_us = per_request_us([&] {
+      for (const std::vector<int64_t>& history : histories) {
+        sr.ScoreAllItemsBatch({history});
+      }
+    });
+    const double batch16_us = per_request_us([&] {
+      for (size_t begin = 0; begin < histories.size(); begin += kBatchSize) {
+        const size_t end = std::min(begin + static_cast<size_t>(kBatchSize),
+                                    histories.size());
+        sr.ScoreAllItemsBatch(std::vector<std::vector<int64_t>>(
+            histories.begin() + begin, histories.begin() + end));
+      }
+    });
+    const double autograd_us = per_request_us([&] {
+      nn::NoGradGuard no_grad;
+      util::Rng rng(0);
+      for (const std::vector<int64_t>& history : histories) {
+        sr.TrainingLogits(history, 0.0f, rng);
+      }
+    });
+    const std::string prefix = "serve_sr_" + name;
+    recorder.Record(prefix + "_batch1_us", batch1_us, "us",
+                    bench::MetricKind::kTime);
+    recorder.Record(prefix + "_batch16_us", batch16_us, "us",
+                    bench::MetricKind::kTime);
+    recorder.Record(prefix + "_autograd_us", autograd_us, "us",
+                    bench::MetricKind::kTime);
+    std::printf("[serve] %s ScoreAllItemsBatch: %.1f us/req at batch 1, "
+                "%.1f at batch %lld; autograd TrainingLogits %.1f us/req\n",
+                name.c_str(), batch1_us, batch16_us,
+                static_cast<long long>(kBatchSize), autograd_us);
+  };
+  record_sr_layers("student", *two_tier_snapshot->student());
+  record_sr_layers("sasrec", *sources.sr_model);
+
   // Quality: the harness protocol (fixed candidate sets — every backend
   // ranks identical pools) per backend.
   auto evaluate = [&](const serve::Scorer& scorer) {
@@ -724,7 +779,7 @@ void BenchTwoTier(bench::BenchRecorder& recorder,
   }
 
   // Acceptance floors. (1) The student must be ≥5× the teacher on batched
-  // throughput — a lockstep batched GRU sweep over 15-item pools vs a
+  // throughput — a ragged-lockstep GRU sweep over 15-item pools vs a
   // transformer prompt encode; measured ~13× on the reference host, and the
   // gap is architectural (layers of GEMMs over prompt tokens vs one (B, D)
   // recurrence), so the floor holds on every ISA. (2) The best two-tier point must hold teacher-class quality:

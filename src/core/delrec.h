@@ -133,23 +133,44 @@ nn::Tensor ActiveSoftPrompts(const DelRecConfig& config,
 
 /// Auxiliary textual channel of the stage-2 prompt: the conventional
 /// model's top-h titles (sr_hints_in_stage2) and/or the "w MCP" description.
+/// A batch of one of ActiveHintTokensBatch.
 std::vector<int64_t> ActiveHintTokens(
     const DelRecConfig& config, const llm::PromptBuilder& builder,
     const srmodels::SequentialRecommender& sr_model,
     const std::vector<int64_t>& history);
+
+/// ActiveHintTokens of many histories, with every top-h from one
+/// ScoreAllItemsBatch call (none when hints are off). Row i equals
+/// ActiveHintTokens(config, builder, sr_model, histories[i]).
+std::vector<std::vector<int64_t>> ActiveHintTokensBatch(
+    const DelRecConfig& config, const llm::PromptBuilder& builder,
+    const srmodels::SequentialRecommender& sr_model,
+    const std::vector<std::vector<int64_t>>& histories);
 
 /// Candidate ids rendered into the prompt (empty unless configured).
 std::vector<int64_t> PromptCandidates(const DelRecConfig& config,
                                       const std::vector<int64_t>& candidates);
 
 /// The complete recommendation-scoring prompt for (history, candidates) —
-/// the exact prompt DelRec::ScoreCandidates forwards through the LLM.
+/// the exact prompt DelRec::ScoreCandidates forwards through the LLM. A
+/// batch of one of BuildScoringPrompts.
 llm::Prompt BuildScoringPrompt(const DelRecConfig& config,
                                const llm::PromptBuilder& builder,
                                const srmodels::SequentialRecommender& sr_model,
                                const nn::Tensor& soft_prompts,
                                const std::vector<int64_t>& history,
                                const std::vector<int64_t>& candidates);
+
+/// The scoring prompts of a batch of (histories[i], candidates[i]) — what
+/// EngineSnapshot::ScoreBatch encodes — with the hints of every window from
+/// one ActiveHintTokensBatch call. Prompt i equals BuildScoringPrompt(...,
+/// histories[i], candidates[i]) piece for piece.
+std::vector<llm::Prompt> BuildScoringPrompts(
+    const DelRecConfig& config, const llm::PromptBuilder& builder,
+    const srmodels::SequentialRecommender& sr_model,
+    const nn::Tensor& soft_prompts,
+    const std::vector<std::vector<int64_t>>& histories,
+    const std::vector<std::vector<int64_t>>& candidates);
 
 /// The snapshot-constant head of every scoring prompt the config produces
 /// — identical to llm::PromptBuilder::Split(BuildScoringPrompt(...)).prefix

@@ -11,6 +11,10 @@ namespace delrec::eval {
 /// ordering srmodels::TopKFromScores has always produced (it now delegates
 /// here) and the positional RankOfTarget counts against, deduplicating the
 /// partial-sort-with-tie-break logic that used to live in each caller.
+/// −0 and +0 tie; NaN scores rank after every number, in position order.
+/// It sorts packed (score, position) integer keys: all of them when k
+/// covers the list (the two-tier retriever's full ordering), a partial sort
+/// otherwise, so TopK(scores, k) is always a prefix of the full ordering.
 std::vector<int64_t> TopK(const std::vector<float>& scores, int64_t k);
 
 /// As above over a candidate pool with explicit item ids: returns positions

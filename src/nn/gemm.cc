@@ -50,7 +50,7 @@ void GemmRows(int64_t m, int64_t n, int64_t k,
 }
 
 // -- Microkernel tiles --------------------------------------------------------
-// All full tiles share one signature so the ISA is picked once per GEMM call
+// Each GEMM call picks the ISA once, through a TileSet of full-tile pointers
 // (function-pointer dispatch via __builtin_cpu_supports); the drivers and
 // row-remainder edge tiles are ISA-agnostic scalar code, while column edges
 // of packed B run the full tiles on zero-padded panels (ViaLocalTile). Per
@@ -76,6 +76,10 @@ using TileFn = void (*)(const float* a, int64_t a_i_stride,
                         int64_t a_p_stride, const float* bpanel,
                         int64_t b_p_stride, float* c, int64_t n, int64_t k,
                         int64_t i0, int64_t j0, bool accumulate);
+// The NT tile has fixed strides (NtTile below), so its signature drops them.
+using NtTileFn = void (*)(const float* a, const float* bpanel, float* c,
+                          int64_t n, int64_t k, int64_t i0, int64_t j0,
+                          bool accumulate);
 using ZeroScanFn = bool (*)(const float* a, int64_t a_i_stride,
                             int64_t a_p_stride, int64_t i0, int64_t k);
 
@@ -132,6 +136,19 @@ template <int W, bool kSkipZeros, bool kSeedFromC>
     }
     std::memcpy(cv, &acc[i], sizeof(V));
   }
+}
+
+// NT's tile: the dense, unseeded Tile with NT's strides bound as constants
+// — A rows contiguous along k (a_i_stride = k, a_p_stride = 1) and
+// transpose-packed B panels (b_p_stride = NR). Passed at run time, they
+// would make the compiler version the k loop on a stride-1 check and keep
+// the general address arithmetic.
+template <int W>
+[[gnu::always_inline]] inline void NtTile(const float* a, const float* bpanel,
+                                          float* c, int64_t n, int64_t k,
+                                          int64_t i0, int64_t j0,
+                                          bool accumulate) {
+  Tile<W, false, false>(a, k, 1, bpanel, NR, c, n, k, i0, j0, accumulate);
 }
 
 // Dense-tile eligibility prescan: true iff any A element in the MR-row tile
@@ -201,7 +218,7 @@ template <int W>
 struct TileSet {
   TileFn dense;
   TileFn skip;
-  TileFn nt;
+  NtTileFn nt;
   ZeroScanFn has_zero;
   const char* isa;
 };
@@ -225,18 +242,18 @@ TileSet TilesFor(GemmTileWidth width) {
 #if DELREC_GEMM_X86
   if (width == GemmTileWidth::k16) {
     return {InAvx512<Tile<16, false, true>>, InAvx512<Tile<16, true, true>>,
-            InAvx512<Tile<16, false, false>>, InAvx512<TileHasZero<16>>,
+            InAvx512<NtTile<16>>, InAvx512<TileHasZero<16>>,
             "avx512"};
   }
   if (width == GemmTileWidth::k8) {
     return {InAvx2<Tile<8, false, true>>, InAvx2<Tile<8, true, true>>,
-            InAvx2<Tile<8, false, false>>, InAvx2<TileHasZero<8>>, "avx2"};
+            InAvx2<NtTile<8>>, InAvx2<TileHasZero<8>>, "avx2"};
   }
   const char* isa = "sse2";
 #else
   const char* isa = "portable";
 #endif
-  return {Tile<4, false, true>, Tile<4, true, true>, Tile<4, false, false>,
+  return {Tile<4, false, true>, Tile<4, true, true>, NtTile<4>,
           TileHasZero<4>, isa};
 }
 
@@ -419,7 +436,7 @@ struct NtContext {
   int64_t k;
   int64_t num_panels;
   bool accumulate;
-  TileFn tile;
+  NtTileFn tile;
 };
 
 void NtPackedRows(const NtContext& ctx, int64_t row_begin, int64_t row_end) {
@@ -430,13 +447,12 @@ void NtPackedRows(const NtContext& ctx, int64_t row_begin, int64_t row_end) {
       const int nr = static_cast<int>(std::min<int64_t>(NR, ctx.n - j0));
       const float* bpanel = ctx.packed + jb * ctx.k * NR;
       if (mr == MR && nr == NR) {
-        ctx.tile(ctx.a, /*a_i_stride=*/ctx.k, /*a_p_stride=*/1, bpanel, NR,
-                 ctx.c, ctx.n, ctx.k, i, j0, ctx.accumulate);
+        ctx.tile(ctx.a, bpanel, ctx.c, ctx.n, ctx.k, i, j0, ctx.accumulate);
       } else if (mr == MR) {
         ViaLocalTile(ctx.c, ctx.n, i, j0, nr, ctx.accumulate,
                      [&](float* local) {
-                       ctx.tile(ctx.a + i * ctx.k, ctx.k, 1, bpanel, NR, local,
-                                NR, ctx.k, /*i0=*/0, /*j0=*/0, ctx.accumulate);
+                       ctx.tile(ctx.a + i * ctx.k, bpanel, local, NR, ctx.k,
+                                /*i0=*/0, /*j0=*/0, ctx.accumulate);
                      });
       } else {
         NtPanelEdge(ctx.a, bpanel, ctx.c, ctx.n, ctx.k, i, mr, j0, nr,

@@ -1,15 +1,20 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/gemm.h"
 #include "util/check.h"
+#include "util/threadpool.h"
 
 namespace delrec::nn {
 namespace {
 
 // LayerNorm's epsilon, shared by its autograd and inference forwards.
 constexpr float kLayerNormEpsilon = 1e-5f;
+// The causal mask's logit offset above the diagonal, shared by CausalMask
+// and the inference attention.
+constexpr float kCausalBlocked = -1e9f;
 
 }  // namespace
 
@@ -105,6 +110,45 @@ Tensor GruCell::Forward(const Tensor& x, const Tensor& h) const {
   return Add(Mul(one_minus_z, h), Mul(z, candidate));
 }
 
+void GruCell::ForwardInference(const float* x, int64_t rows, float* h,
+                               util::ScopedArena& arena) const {
+  const int64_t hd = hidden_dim_;
+  const int64_t gates = 3 * hd;
+  float* gx = arena.Alloc(rows * gates);
+  GemmNN(x, w_x_.data().data(), gx, rows, gates, w_x_.dim(0),
+         /*accumulate=*/false);
+  AddBiasRows(gx, rows, gates, bias_.data().data());
+  float* gh = arena.Alloc(rows * gates);
+  GemmNN(h, w_h_.data().data(), gh, rows, gates, hd, /*accumulate=*/false);
+  float* z = arena.Alloc(rows * hd);
+  float* rh = arena.Alloc(rows * hd);
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* gxi = gx + i * gates;
+    const float* ghi = gh + i * gates;
+    for (int64_t j = 0; j < hd; ++j) {
+      z[i * hd + j] = 1.0f / (1.0f + std::exp(-(gxi[j] + ghi[j])));
+      const float r = 1.0f / (1.0f + std::exp(-(gxi[hd + j] + ghi[hd + j])));
+      rh[i * hd + j] = r * h[i * hd + j];
+    }
+  }
+  // (r⊙h)·U_h, with U_h copied out of w_h as Forward()'s SliceCols does.
+  float* u_h = arena.Alloc(hd * hd);
+  const float* w_h = w_h_.data().data();
+  for (int64_t p = 0; p < hd; ++p) {
+    std::copy(w_h + p * gates + 2 * hd, w_h + p * gates + gates, u_h + p * hd);
+  }
+  float* candidate = arena.Alloc(rows * hd);
+  GemmNN(rh, u_h, candidate, rows, hd, hd, /*accumulate=*/false);
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < hd; ++j) {
+      const int64_t c = i * hd + j;
+      const float hat = std::tanh(gx[i * gates + 2 * hd + j] + candidate[c]);
+      const float one_minus_z = z[c] * -1.0f + 1.0f;
+      h[c] = one_minus_z * h[c] + z[c] * hat;
+    }
+  }
+}
+
 MultiHeadAttention::MultiHeadAttention(int64_t model_dim, int64_t num_heads,
                                        util::Rng& rng)
     : model_dim_(model_dim),
@@ -147,6 +191,89 @@ Tensor MultiHeadAttention::Forward(const Tensor& query,
   return wo_.Forward(ConcatCols(head_outputs));
 }
 
+void MultiHeadAttention::ForwardInference(
+    const float* x, const std::vector<int64_t>& span_offsets,
+    bool last_rows_only, float* out, util::ScopedArena& arena) const {
+  const int64_t d = model_dim_;
+  const int64_t hd = head_dim_;
+  const int64_t spans = static_cast<int64_t>(span_offsets.size()) - 1;
+  const int64_t total = span_offsets.back();
+  const int64_t out_rows = last_rows_only ? spans : total;
+  const float* query_rows = x;
+  if (last_rows_only) {
+    float* last = arena.Alloc(spans * d);
+    for (int64_t s = 0; s < spans; ++s) {
+      const float* row = x + (span_offsets[s + 1] - 1) * d;
+      std::copy(row, row + d, last + s * d);
+    }
+    query_rows = last;
+  }
+  float* q = arena.Alloc(out_rows * d);
+  wq_.ForwardInference(query_rows, out_rows, q);
+  float* k = arena.Alloc(total * d);
+  wk_.ForwardInference(x, total, k);
+  float* v = arena.Alloc(total * d);
+  wv_.ForwardInference(x, total, v);
+  float* heads = arena.Alloc(out_rows * d);
+
+  // Attention is the one stage that is not row-local, so it runs per span
+  // and per head with Forward()'s shapes and op order. Spans fan out
+  // across threads; each writes only its own rows of `heads`, so the
+  // thread count never shows. Scratch is carved out up front because the
+  // arena is not thread-safe.
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  std::vector<float*> scratch(spans);
+  for (int64_t s = 0; s < spans; ++s) {
+    const int64_t t = span_offsets[s + 1] - span_offsets[s];
+    const int64_t queries = last_rows_only ? 1 : t;
+    scratch[s] = arena.Alloc(2 * queries * hd + 2 * t * hd + queries * t);
+  }
+  util::ParallelFor(spans, [&](int64_t begin, int64_t end, int) {
+    for (int64_t s = begin; s < end; ++s) {
+      const int64_t first = span_offsets[s];
+      const int64_t t = span_offsets[s + 1] - first;
+      // Query i sits at span position first_position + i.
+      const int64_t first_position = last_rows_only ? t - 1 : 0;
+      const int64_t queries = t - first_position;
+      const int64_t out_first = last_rows_only ? s : first;
+      float* qh = scratch[s];
+      float* head_out = qh + queries * hd;
+      float* kh = head_out + queries * hd;
+      float* vh = kh + t * hd;
+      float* logits = vh + t * hd;
+      for (int64_t h = 0; h < num_heads_; ++h) {
+        for (int64_t i = 0; i < queries; ++i) {
+          const float* row = q + (out_first + i) * d + h * hd;
+          std::copy(row, row + hd, qh + i * hd);
+        }
+        for (int64_t i = 0; i < t; ++i) {
+          const float* krow = k + (first + i) * d + h * hd;
+          const float* vrow = v + (first + i) * d + h * hd;
+          std::copy(krow, krow + hd, kh + i * hd);
+          std::copy(vrow, vrow + hd, vh + i * hd);
+        }
+        GemmNT(qh, kh, logits, queries, t, hd, /*accumulate=*/false);
+        // MulScalar, then Add of the causal mask, as two passes like the
+        // two ops.
+        for (int64_t i = 0; i < queries * t; ++i) logits[i] *= scale;
+        for (int64_t i = 0; i < queries; ++i) {
+          for (int64_t j = 0; j < t; ++j) {
+            logits[i * t + j] +=
+                j > first_position + i ? kCausalBlocked : 0.0f;
+          }
+        }
+        SoftmaxRows(logits, queries, t, logits);
+        GemmNN(logits, vh, head_out, queries, hd, t, /*accumulate=*/false);
+        for (int64_t i = 0; i < queries; ++i) {
+          std::copy(head_out + i * hd, head_out + (i + 1) * hd,
+                    heads + (out_first + i) * d + h * hd);
+        }
+      }
+    }
+  });
+  wo_.ForwardInference(heads, out_rows, out);
+}
+
 FeedForward::FeedForward(int64_t model_dim, int64_t hidden_dim, util::Rng& rng)
     : in_(model_dim, hidden_dim, rng), out_(hidden_dim, model_dim, rng) {
   RegisterModule("in", &in_);
@@ -158,6 +285,15 @@ Tensor FeedForward::Forward(const Tensor& x, util::Rng& rng, float dropout_p,
   Tensor hidden = Gelu(in_.Forward(x));
   hidden = Dropout(hidden, dropout_p, rng, training);
   return out_.Forward(hidden);
+}
+
+void FeedForward::ForwardInference(const float* x, int64_t rows, float* out,
+                                   util::ScopedArena& arena) const {
+  const int64_t f = in_.out_features();
+  float* hidden = arena.Alloc(rows * f);
+  in_.ForwardInference(x, rows, hidden);
+  GeluRows(hidden, rows * f, hidden);
+  out_.ForwardInference(hidden, rows, out);
 }
 
 TransformerEncoderLayer::TransformerEncoderLayer(int64_t model_dim,
@@ -187,10 +323,35 @@ Tensor TransformerEncoderLayer::Forward(const Tensor& x,
   return Add(residual, ff);
 }
 
+void TransformerEncoderLayer::ForwardInference(
+    const float* x, const std::vector<int64_t>& span_offsets,
+    bool last_rows_only, float* out, util::ScopedArena& arena) const {
+  const int64_t d = attention_.model_dim();
+  const int64_t total = span_offsets.back();
+  const int64_t rows =
+      last_rows_only ? static_cast<int64_t>(span_offsets.size()) - 1 : total;
+  float* normed = arena.Alloc(total * d);
+  ln_attention_.ForwardInference(x, total, normed);
+  float* residual = arena.Alloc(rows * d);
+  attention_.ForwardInference(normed, span_offsets, last_rows_only, residual,
+                              arena);
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + (last_rows_only ? span_offsets[r + 1] - 1 : r) * d;
+    float* rr = residual + r * d;
+    for (int64_t j = 0; j < d; ++j) rr[j] = xr[j] + rr[j];
+  }
+  float* ff_in = arena.Alloc(rows * d);
+  ln_ffn_.ForwardInference(residual, rows, ff_in);
+  ffn_.ForwardInference(ff_in, rows, out, arena);
+  for (int64_t i = 0; i < rows * d; ++i) out[i] = residual[i] + out[i];
+}
+
 Tensor CausalMask(int64_t length) {
   std::vector<float> mask(length * length, 0.0f);
   for (int64_t i = 0; i < length; ++i) {
-    for (int64_t j = i + 1; j < length; ++j) mask[i * length + j] = -1e9f;
+    for (int64_t j = i + 1; j < length; ++j) {
+      mask[i * length + j] = kCausalBlocked;
+    }
   }
   return Tensor::FromData({length, length}, std::move(mask));
 }

@@ -7,6 +7,7 @@
 #include "nn/module.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
+#include "util/buffer_pool.h"
 #include "util/rng.h"
 
 namespace delrec::nn {
@@ -84,6 +85,14 @@ class GruCell : public Module {
   /// x: (N, input_dim), h: (N, hidden_dim) → new hidden (N, hidden_dim).
   Tensor Forward(const Tensor& x, const Tensor& h) const;
 
+  /// Inference-only raw step: replaces the `rows` hidden rows of h
+  /// (rows × hidden_dim) with Forward(x, h)'s, through the same GEMMs and
+  /// the same elementwise order — σ as 1/(1+exp(−v)), std::tanh, (z·−1)+1,
+  /// then (1−z)⊙h + z⊙ĥ — so each row is bit-identical to Forward() for any
+  /// row count. Builds no autograd tape; scratch comes from `arena`.
+  void ForwardInference(const float* x, int64_t rows, float* h,
+                        util::ScopedArena& arena) const;
+
   int64_t hidden_dim() const { return hidden_dim_; }
 
  private:
@@ -105,6 +114,21 @@ class MultiHeadAttention : public Module {
                  const Tensor& additive_mask, util::Rng& rng,
                  float dropout_p) const;
 
+  /// Inference-only raw causal self-attention over ragged spans: `x` stacks
+  /// the rows of every span (span s covers rows [span_offsets[s],
+  /// span_offsets[s+1]); model_dim wide), and each row attends to its span's
+  /// rows up to itself. Per span and head it is Forward(x_s, x_s,
+  /// CausalMask(t), rng, 0)'s arithmetic — QKᵀ, × scale, + mask, softmax, ·V
+  /// — so each output row is bit-identical to that row of Forward(). With
+  /// `last_rows_only`, keys and values still cover every row but only each
+  /// span's last row is queried: `out` gets one row per span instead of one
+  /// per input row.
+  void ForwardInference(const float* x,
+                        const std::vector<int64_t>& span_offsets,
+                        bool last_rows_only, float* out,
+                        util::ScopedArena& arena) const;
+
+  int64_t model_dim() const { return model_dim_; }
   int64_t num_heads() const { return num_heads_; }
 
  private:
@@ -125,6 +149,11 @@ class FeedForward : public Module {
   Tensor Forward(const Tensor& x, util::Rng& rng, float dropout_p,
                  bool training) const;
 
+  /// Inference-only raw forward of `rows` rows: Forward() without dropout,
+  /// bit-identical per row. `out` must not alias x.
+  void ForwardInference(const float* x, int64_t rows, float* out,
+                        util::ScopedArena& arena) const;
+
  private:
   Linear in_;
   Linear out_;
@@ -139,6 +168,16 @@ class TransformerEncoderLayer : public Module {
   /// x: (T, D); additive_mask optional (T, T).
   Tensor Forward(const Tensor& x, const Tensor& additive_mask,
                  util::Rng& rng, float dropout_p) const;
+
+  /// Inference-only raw causal forward over ragged spans (layout and
+  /// `last_rows_only` as in MultiHeadAttention::ForwardInference): each
+  /// output row is bit-identical to that row of Forward(x_s,
+  /// CausalMask(t), rng, 0). With `last_rows_only`, the residual, norm and
+  /// feed-forward run on each span's last row alone. `out` must not alias x.
+  void ForwardInference(const float* x,
+                        const std::vector<int64_t>& span_offsets,
+                        bool last_rows_only, float* out,
+                        util::ScopedArena& arena) const;
 
  private:
   LayerNorm ln_attention_;

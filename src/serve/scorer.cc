@@ -52,6 +52,11 @@ class SequentialScorer : public Scorer {
     return model_->ScoreAllItems(history);
   }
 
+  std::vector<std::vector<float>> ScoreCatalogBatch(
+      const std::vector<std::vector<int64_t>>& histories) const override {
+    return model_->ScoreAllItemsBatch(histories);
+  }
+
  private:
   const srmodels::SequentialRecommender* model_;
 };
@@ -121,6 +126,16 @@ std::vector<float> Scorer::ScoreCatalog(
   DELREC_CHECK(false) << name()
                       << " does not declare full-catalog capability";
   return {};
+}
+
+std::vector<std::vector<float>> Scorer::ScoreCatalogBatch(
+    const std::vector<std::vector<int64_t>>& histories) const {
+  std::vector<std::vector<float>> results;
+  results.reserve(histories.size());
+  for (const std::vector<int64_t>& history : histories) {
+    results.push_back(ScoreCatalog(history));
+  }
+  return results;
 }
 
 std::unique_ptr<Scorer> MakeSequentialScorer(

@@ -77,6 +77,13 @@ class Scorer {
   virtual std::vector<float> ScoreCatalog(
       const std::vector<int64_t>& history) const;
 
+  /// ScoreCatalog of many histories; row i is bit-identical to
+  /// ScoreCatalog(histories[i]). The default calls ScoreCatalog once per
+  /// history; backends with a batched forward (the SR adapters, through
+  /// SequentialRecommender::ScoreAllItemsBatch) override it.
+  virtual std::vector<std::vector<float>> ScoreCatalogBatch(
+      const std::vector<std::vector<int64_t>>& histories) const;
+
   /// Prompt tokens per request this scorer serves from a precomputed prefix
   /// KV cache instead of re-encoding (DESIGN.md §15). 0 — the default, and
   /// the value for every non-cached scorer — feeds the engine's

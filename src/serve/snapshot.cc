@@ -189,13 +189,19 @@ std::vector<std::vector<float>> EngineSnapshot::ScoreBatch(
   if (requests.empty()) return {};
   MaybeInjectScorerFault();
   const int64_t n = static_cast<int64_t>(requests.size());
-  std::vector<llm::Prompt> prompts;
-  prompts.reserve(requests.size());
+  std::vector<std::vector<int64_t>> histories;
+  std::vector<std::vector<int64_t>> candidates;
+  histories.reserve(requests.size());
+  candidates.reserve(requests.size());
   for (const ScoreRequest& request : requests) {
-    prompts.push_back(core::inference::BuildScoringPrompt(
-        config_, prompt_builder_, *sources_.sr_model, soft_prompts_,
-        request.history, request.candidates));
+    histories.push_back(request.history);
+    candidates.push_back(request.candidates);
   }
+  // One batched SR forward serves every request's hint.
+  const std::vector<llm::Prompt> prompts =
+      core::inference::BuildScoringPrompts(config_, prompt_builder_,
+                                           *sources_.sr_model, soft_prompts_,
+                                           histories, candidates);
 
   // Suffix-only pieces: cut each prompt at its declared prefix boundary;
   // the cached PrefixState stands in for the head. Kept alive outside the

@@ -68,17 +68,29 @@ std::vector<std::vector<float>> TwoTierScorer::ScoreImpl(
   // Stage 1 — retrieve: pre-rank each request's pool with the cheap tier.
   // Explicit candidate pools go through one batched retriever call; empty
   // pools mean "the full catalog" (legal here because construction
-  // requires the retriever to declare full_catalog capability).
+  // requires the retriever to declare full_catalog capability) and go
+  // through one batched catalog call.
   std::vector<std::vector<float>> retriever_scores(count);
   {
     std::vector<ScoreRequest> pooled;
     std::vector<size_t> pooled_index;
+    std::vector<std::vector<int64_t>> catalog_histories;
+    std::vector<size_t> catalog_index;
     for (size_t i = 0; i < count; ++i) {
       if (requests[i].candidates.empty()) {
-        retriever_scores[i] = retriever_->ScoreCatalog(requests[i].history);
+        catalog_histories.push_back(requests[i].history);
+        catalog_index.push_back(i);
       } else {
         pooled.push_back(requests[i]);
         pooled_index.push_back(i);
+      }
+    }
+    if (!catalog_histories.empty()) {
+      std::vector<std::vector<float>> scores =
+          retriever_->ScoreCatalogBatch(catalog_histories);
+      DELREC_CHECK_EQ(scores.size(), catalog_histories.size());
+      for (size_t j = 0; j < catalog_histories.size(); ++j) {
+        retriever_scores[catalog_index[j]] = std::move(scores[j]);
       }
     }
     if (!pooled.empty()) {

@@ -1,6 +1,7 @@
 #include "srmodels/gru4rec.h"
 
-#include <map>
+#include <algorithm>
+#include <numeric>
 
 #include "nn/ops.h"
 #include "nn/optimizer.h"
@@ -12,9 +13,9 @@ namespace delrec::srmodels {
 Gru4Rec::Gru4Rec(int64_t num_items, int64_t embedding_dim, uint64_t seed)
     : num_items_(num_items),
       embedding_dim_(embedding_dim),
-      scratch_rng_(seed),
-      item_embedding_(num_items, embedding_dim, scratch_rng_),
-      cell_(embedding_dim, embedding_dim, scratch_rng_) {
+      init_rng_(seed),
+      item_embedding_(num_items, embedding_dim, init_rng_),
+      cell_(embedding_dim, embedding_dim, init_rng_) {
   item_bias_ = nn::Tensor::Zeros({num_items}, /*requires_grad=*/true);
   RegisterModule("item_embedding", &item_embedding_);
   RegisterModule("cell", &cell_);
@@ -58,58 +59,69 @@ util::Status Gru4Rec::Train(const std::vector<data::Example>& examples,
   return loop_result.status();
 }
 
-std::vector<float> Gru4Rec::ScoreAllItems(
-    const std::vector<int64_t>& history) const {
-  nn::NoGradGuard no_grad;
-  return TrainingLogits(history, 0.0f, scratch_rng_).data();
-}
-
-std::vector<std::vector<float>> Gru4Rec::ScoreCandidatesBatch(
+float* Gru4Rec::FinalHiddenRows(
     const std::vector<std::vector<int64_t>>& histories,
-    const std::vector<std::vector<int64_t>>& candidates) const {
-  DELREC_CHECK_EQ(histories.size(), candidates.size());
-  nn::NoGradGuard no_grad;
-  std::vector<std::vector<float>> out(histories.size());
-  // Rows of equal history length share every timestep, so the recurrence
-  // runs once per group at (B, D) instead of B times at (1, D). std::map
-  // keeps group order deterministic; submission order is kept within each
-  // group.
-  std::map<size_t, std::vector<size_t>> by_length;
-  for (size_t i = 0; i < histories.size(); ++i) {
-    DELREC_CHECK(!histories[i].empty());
-    by_length[histories[i].size()].push_back(i);
+    util::ScopedArena& arena) const {
+  const int64_t d = embedding_dim_;
+  const int64_t batch = static_cast<int64_t>(histories.size());
+  // Ragged lockstep: with the rows stable-sorted longest first, the rows
+  // still running at step t are a prefix of the order, and a finished row
+  // keeps its final state. Step t consumes item t of each history, as the
+  // per-history recurrence does.
+  std::vector<int64_t> order(batch);
+  std::iota(order.begin(), order.end(), 0);
+  for (const std::vector<int64_t>& history : histories) {
+    DELREC_CHECK(!history.empty());
   }
-  std::vector<int64_t> step;
-  for (const auto& [length, rows] : by_length) {
-    const int64_t batch = static_cast<int64_t>(rows.size());
-    nn::Tensor hidden = nn::Tensor::Zeros({batch, embedding_dim_});
-    step.resize(rows.size());
-    for (size_t t = 0; t < length; ++t) {
-      for (size_t b = 0; b < rows.size(); ++b) step[b] = histories[rows[b]][t];
-      hidden = cell_.Forward(item_embedding_.Forward(step), hidden);
+  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    return histories[a].size() > histories[b].size();
+  });
+  float* hidden = arena.Alloc(batch * d);
+  std::fill(hidden, hidden + batch * d, 0.0f);
+  float* x = arena.Alloc(batch * d);
+  const float* items = item_embedding_.table().data().data();
+  util::ScopedArena step_arena;
+  int64_t active = batch;
+  const int64_t steps = static_cast<int64_t>(histories[order[0]].size());
+  for (int64_t t = 0; t < steps; ++t) {
+    while (static_cast<int64_t>(histories[order[active - 1]].size()) <= t) {
+      --active;
     }
-    const nn::Tensor logits = nn::AddBias(
-        nn::MatMul(hidden, item_embedding_.table(), false, true), item_bias_);
-    const std::vector<float>& flat = logits.data();
-    for (size_t b = 0; b < rows.size(); ++b) {
-      const std::vector<int64_t>& wanted = candidates[rows[b]];
-      std::vector<float>& row = out[rows[b]];
-      row.reserve(wanted.size());
-      for (int64_t candidate : wanted) {
-        DELREC_CHECK_GE(candidate, 0);
-        DELREC_CHECK_LT(candidate, num_items_);
-        row.push_back(flat[static_cast<size_t>(b) * num_items_ + candidate]);
-      }
+    for (int64_t r = 0; r < active; ++r) {
+      const int64_t item = histories[order[r]][t];
+      DELREC_CHECK_GE(item, 0);
+      DELREC_CHECK_LT(item, num_items_);
+      std::copy(items + item * d, items + (item + 1) * d, x + r * d);
     }
+    step_arena.Reset();
+    cell_.ForwardInference(x, active, hidden, step_arena);
+  }
+  float* out = arena.Alloc(batch * d);
+  for (int64_t r = 0; r < batch; ++r) {
+    std::copy(hidden + r * d, hidden + (r + 1) * d, out + order[r] * d);
   }
   return out;
 }
 
+std::vector<std::vector<float>> Gru4Rec::ScoreAllItemsBatch(
+    const std::vector<std::vector<int64_t>>& histories) const {
+  if (histories.empty()) return {};
+  util::ScopedArena arena;
+  return ScoreRowsAgainstItems(FinalHiddenRows(histories, arena),
+                               static_cast<int64_t>(histories.size()),
+                               item_embedding_.table(), item_bias_);
+}
+
+std::vector<float> Gru4Rec::ScoreAllItems(
+    const std::vector<int64_t>& history) const {
+  return std::move(ScoreAllItemsBatch({history})[0]);
+}
+
 std::vector<float> Gru4Rec::EncodeHistory(
     const std::vector<int64_t>& history) const {
-  nn::NoGradGuard no_grad;
-  nn::Tensor hidden = HiddenForHistory(history, 0.0f, scratch_rng_);
-  return hidden.data();
+  util::ScopedArena arena;
+  const float* hidden = FinalHiddenRows({history}, arena);
+  return std::vector<float>(hidden, hidden + embedding_dim_);
 }
 
 std::vector<float> Gru4Rec::ItemEmbedding(int64_t item) const {

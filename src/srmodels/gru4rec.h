@@ -22,15 +22,16 @@ class Gru4Rec : public nn::Module, public SequentialRecommender {
   std::string name() const override { return "GRU4Rec"; }
   util::Status Train(const std::vector<data::Example>& examples,
                      const TrainConfig& config) override;
+  /// ScoreAllItemsBatch({history})[0]: one inference forward.
   std::vector<float> ScoreAllItems(
       const std::vector<int64_t>& history) const override;
-  /// Batched inference: equal-length histories step through the cell in
-  /// lockstep as one (B, D) recurrence, amortizing per-step dispatch across
-  /// the batch — the serve tier's retriever fast path. Rows stay
-  /// bit-identical to the per-sequence path (the GEMMs are row-stable).
-  std::vector<std::vector<float>> ScoreCandidatesBatch(
-      const std::vector<std::vector<int64_t>>& histories,
-      const std::vector<std::vector<int64_t>>& candidates) const override;
+  /// Tape-free batched forward — the serve tier's retriever path: every
+  /// history steps through the cell in one ragged lockstep (longest first,
+  /// each step's GEMMs over the rows still running), then one GEMM against
+  /// the item table scores the batch. Row i is bit-identical to
+  /// TrainingLogits(histories[i], 0, rng) (DESIGN.md §17).
+  std::vector<std::vector<float>> ScoreAllItemsBatch(
+      const std::vector<std::vector<int64_t>>& histories) const override;
   nn::Tensor TrainingLogits(const std::vector<int64_t>& history,
                             float dropout, util::Rng& rng) const override;
   int64_t ParameterCount() const override {
@@ -38,8 +39,9 @@ class Gru4Rec : public nn::Module, public SequentialRecommender {
   }
   int64_t item_count() const override { return num_items_; }
 
-  /// Final hidden state for a history (used by LLaRA-style baselines that
-  /// inject conventional-SR representations into LLMs).
+  /// Final hidden state for a history, from the inference forward (used by
+  /// LLaRA-style baselines that inject conventional-SR representations into
+  /// LLMs).
   std::vector<float> EncodeHistory(
       const std::vector<int64_t>& history) const override;
 
@@ -51,11 +53,16 @@ class Gru4Rec : public nn::Module, public SequentialRecommender {
  private:
   nn::Tensor HiddenForHistory(const std::vector<int64_t>& history,
                               float dropout, util::Rng& rng) const;
+  /// The inference recurrence: one final hidden row per history, in input
+  /// order, from `arena`.
+  float* FinalHiddenRows(const std::vector<std::vector<int64_t>>& histories,
+                         util::ScopedArena& arena) const;
 
   int64_t num_items_;
   int64_t embedding_dim_;
-  // Declared before the layers so it can seed their initialization.
-  mutable util::Rng scratch_rng_;
+  // Declared before the layers so it can seed their initialization; no
+  // forward reads it.
+  util::Rng init_rng_;
   nn::Embedding item_embedding_;
   nn::GruCell cell_;
   nn::Tensor item_bias_;

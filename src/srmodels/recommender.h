@@ -51,20 +51,25 @@ class SequentialRecommender {
   virtual std::vector<float> ScoreAllItems(
       const std::vector<int64_t>& history) const = 0;
 
+  /// Scores every catalog item for each of many histories. The default
+  /// fans ScoreAllItems across the util::ParallelConfig thread budget;
+  /// SASRec and GRU4Rec override it with one tape-free batched forward.
+  /// Either way, row i is bit-identical to ScoreAllItems(histories[i]) for
+  /// every batch composition and thread count. Requires scoring to be
+  /// const-thread-safe, which all bundled models satisfy (inference mutates
+  /// no model state).
+  virtual std::vector<std::vector<float>> ScoreAllItemsBatch(
+      const std::vector<std::vector<int64_t>>& histories) const;
+
   /// Scores a candidate subset (default: gather from ScoreAllItems).
   virtual std::vector<float> ScoreCandidates(
       const std::vector<int64_t>& history,
       const std::vector<int64_t>& candidates) const;
 
-  /// Scores many (history, candidates) pairs. The default fans the
-  /// per-sequence forward passes across the util::ParallelConfig thread
-  /// budget; models may override with a genuinely batched forward (GRU4Rec
-  /// steps equal-length histories through the cell as one (B, D) sweep).
-  /// Either way, output row i is bit-identical to
+  /// Scores many (history, candidates) pairs: a gather from
+  /// ScoreAllItemsBatch, so output row i is bit-identical to
   /// ScoreCandidates(histories[i], candidates[i]) for every thread count.
-  /// Requires scoring to be const-thread-safe, which all bundled models
-  /// satisfy (inference mutates no model state).
-  virtual std::vector<std::vector<float>> ScoreCandidatesBatch(
+  std::vector<std::vector<float>> ScoreCandidatesBatch(
       const std::vector<std::vector<int64_t>>& histories,
       const std::vector<std::vector<int64_t>>& candidates) const;
 
@@ -109,6 +114,13 @@ class SequentialRecommender {
   /// Width of EncodeHistory()/ItemEmbedding() vectors (0 if unsupported).
   virtual int64_t representation_dim() const { return 0; }
 };
+
+/// Catalog scores of `batch` hidden rows (batch × D) against a tied item
+/// table (N × D) plus the item bias (N): TrainingLogits' MatMul + AddBias
+/// as one (batch, D)·(N, D)ᵀ GEMM, split into one row per history.
+std::vector<std::vector<float>> ScoreRowsAgainstItems(
+    const float* hidden, int64_t batch, const nn::Tensor& item_table,
+    const nn::Tensor& item_bias);
 
 /// Ranks item ids by descending score, best first, truncated to k.
 /// Delegates to eval::TopK — the repo's single top-k ordering.

@@ -23,8 +23,16 @@ class SasRec : public nn::Module, public SequentialRecommender {
   std::string name() const override { return "SASRec"; }
   util::Status Train(const std::vector<data::Example>& examples,
                      const TrainConfig& config) override;
+  /// ScoreAllItemsBatch({history})[0]: one inference forward.
   std::vector<float> ScoreAllItems(
       const std::vector<int64_t>& history) const override;
+  /// Tape-free batched forward: the windows' rows stacked as ragged causal
+  /// spans, the last block and the final norm on each span's last row
+  /// only, and one GEMM against the item table for the whole batch. Row i
+  /// is bit-identical to TrainingLogits(histories[i], 0, rng) (DESIGN.md
+  /// §17).
+  std::vector<std::vector<float>> ScoreAllItemsBatch(
+      const std::vector<std::vector<int64_t>>& histories) const override;
   nn::Tensor TrainingLogits(const std::vector<int64_t>& history,
                             float dropout, util::Rng& rng) const override;
   int64_t ParameterCount() const override {
@@ -32,6 +40,7 @@ class SasRec : public nn::Module, public SequentialRecommender {
   }
   int64_t item_count() const override { return num_items_; }
 
+  /// The inference forward's last hidden row (after the final norm).
   std::vector<float> EncodeHistory(
       const std::vector<int64_t>& history) const override;
   std::vector<float> ItemEmbedding(int64_t item) const override;
@@ -41,11 +50,16 @@ class SasRec : public nn::Module, public SequentialRecommender {
  private:
   nn::Tensor LastHidden(const std::vector<int64_t>& history, float dropout,
                         util::Rng& rng) const;
+  /// The inference forward up to the final norm: one (histories, D) row
+  /// per history, from `arena`.
+  float* LastHiddenRows(const std::vector<std::vector<int64_t>>& histories,
+                        util::ScopedArena& arena) const;
 
   int64_t num_items_;
   int64_t embedding_dim_;
   int64_t max_length_;
-  mutable util::Rng scratch_rng_;
+  // Seeds the layers' initialization only; no forward reads it.
+  util::Rng init_rng_;
   nn::Embedding item_embedding_;
   nn::Embedding position_embedding_;
   std::vector<std::unique_ptr<nn::TransformerEncoderLayer>> blocks_;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include "core/checkpoint.h"
 #include "core/workbench.h"
 #include "data/dataset.h"
+#include "data/split.h"
 #include "eval/protocol.h"
 #include "srmodels/factory.h"
 #include "util/check.h"
@@ -248,6 +250,72 @@ TEST_F(DelRecTest, RecommendReturnsItemsFromPool) {
   ASSERT_EQ(top.size(), 3u);
   for (int64_t item : top) {
     EXPECT_NE(std::find(pool.begin(), pool.end(), item), pool.end());
+  }
+}
+
+// The batch prompt builder behind EngineSnapshot::ScoreBatch: prompt i
+// equals the per-request BuildScoringPrompt piece for piece — with the SR
+// hints on (one batched SR call for all of them), off, next to the "w MCP"
+// description, and with candidates spelled out — over histories shorter
+// and longer than the window.
+TEST_F(DelRecTest, BatchPromptBuilderMatchesPerRequestPrompts) {
+  auto llm = workbench_->MakePretrainedLlm(LlmSize::kBase);
+  const DelRec model(&workbench_->dataset().catalog, &workbench_->vocab(),
+                     llm.get(), sr_model_, FastConfig());
+  const llm::PromptBuilder builder(&workbench_->dataset().catalog,
+                                   &workbench_->vocab());
+  const auto& test = workbench_->splits().test;
+  util::Rng rng(13);
+  std::vector<std::vector<int64_t>> histories;
+  std::vector<std::vector<int64_t>> candidates;
+  for (size_t i = 0; i < std::min<size_t>(9, test.size()); ++i) {
+    std::vector<int64_t> history = test[i].history;
+    history.resize(1 + (i * 5) % history.size());
+    if (i == 4) {  // Longer than the window.
+      history.insert(history.end(), test[0].history.begin(),
+                     test[0].history.end());
+    }
+    histories.push_back(std::move(history));
+    candidates.push_back(data::SampleCandidates(workbench_->num_items(),
+                                                test[i].target, 6, rng));
+  }
+
+  for (int variant = 0; variant < 4; ++variant) {
+    DelRecConfig config = FastConfig();
+    config.sr_hints_in_stage2 = variant != 1;
+    config.manual_prompts = variant == 2;
+    config.candidates_in_prompt = variant == 3;
+    const std::vector<llm::Prompt> batch = inference::BuildScoringPrompts(
+        config, builder, *sr_model_, model.soft_prompts(), histories,
+        candidates);
+    ASSERT_EQ(batch.size(), histories.size());
+    for (size_t i = 0; i < histories.size(); ++i) {
+      const llm::Prompt one = inference::BuildScoringPrompt(
+          config, builder, *sr_model_, model.soft_prompts(), histories[i],
+          candidates[i]);
+      const std::string where =
+          "variant " + std::to_string(variant) + " row " + std::to_string(i);
+      EXPECT_EQ(batch[i].mask_position, one.mask_position) << where;
+      EXPECT_EQ(batch[i].prefix_length, one.prefix_length) << where;
+      ASSERT_EQ(batch[i].pieces.size(), one.pieces.size()) << where;
+      for (size_t p = 0; p < one.pieces.size(); ++p) {
+        EXPECT_EQ(batch[i].pieces[p].kind, one.pieces[p].kind) << where;
+        EXPECT_EQ(batch[i].pieces[p].tokens, one.pieces[p].tokens) << where;
+        EXPECT_EQ(batch[i].pieces[p].embeddings.defined(),
+                  one.pieces[p].embeddings.defined())
+            << where;
+        if (one.pieces[p].embeddings.defined()) {
+          EXPECT_EQ(batch[i].pieces[p].embeddings.data(),
+                    one.pieces[p].embeddings.data())
+              << where;
+        }
+      }
+      EXPECT_EQ(inference::ActiveHintTokensBatch(
+                    config, builder, *sr_model_, {histories[i]})[0],
+                inference::ActiveHintTokens(config, builder, *sr_model_,
+                                            histories[i]))
+          << where;
+    }
   }
 }
 

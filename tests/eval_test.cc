@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/split.h"
 #include "eval/metrics.h"
 #include "eval/protocol.h"
 #include "eval/stats.h"
+#include "eval/topk.h"
+#include "util/rng.h"
 
 namespace delrec::eval {
 namespace {
@@ -231,6 +237,67 @@ TEST(ProtocolTest, CandidateSetsIdenticalAcrossScorers) {
   EvaluateCandidates(splits.test, dataset.catalog.size(), observer(seen_b),
                      config);
   EXPECT_EQ(seen_a, seen_b);
+}
+
+// The indirect-comparator partial_sort TopK ran before it sorted packed
+// keys: the reference order for NaN-free scores.
+std::vector<int64_t> PartialSortTopK(const std::vector<float>& scores,
+                                     int64_t k) {
+  std::vector<int64_t> order(scores.size());
+  std::iota(order.begin(), order.end(), 0);
+  k = std::clamp<int64_t>(k, 0, static_cast<int64_t>(order.size()));
+  std::partial_sort(order.begin(), order.begin() + k, order.end(),
+                    [&](int64_t a, int64_t b) {
+                      if (scores[a] != scores[b]) return scores[a] > scores[b];
+                      return a < b;
+                    });
+  order.resize(k);
+  return order;
+}
+
+TEST(TopKTest, PackedKeysMatchPartialSortReference) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  util::Rng rng(41);
+  std::vector<std::vector<float>> lists;
+  std::vector<float> random(220);
+  for (float& v : random) v = rng.UniformFloat(-3.0f, 3.0f);
+  lists.push_back(random);
+  std::vector<float> ties(97);
+  for (size_t i = 0; i < ties.size(); ++i) {
+    ties[i] = static_cast<float>(static_cast<int>(rng.UniformFloat(0.0f, 4.0f)));
+  }
+  lists.push_back(ties);
+  std::vector<float> specials = {0.0f,  -0.0f, kInf, -kInf, 1.5f, -0.0f,
+                                 -kInf, 0.0f,  kInf, -2.0f, 1e-38f,
+                                 -1e-38f, 1e-45f, -1e-45f, 3.0e38f,
+                                 -3.0e38f};
+  lists.push_back(specials);
+  lists.push_back({2.0f});
+  lists.push_back({});
+  for (const std::vector<float>& scores : lists) {
+    const int64_t n = static_cast<int64_t>(scores.size());
+    for (int64_t k : {int64_t{0}, int64_t{1}, int64_t{5}, n - 1, n, n + 3}) {
+      EXPECT_EQ(TopK(scores, k), PartialSortTopK(scores, k))
+          << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+// NaN has no place in the comparator's order; the packed keys pin it: NaNs
+// rank after every number, −inf included, in position order, and a
+// partial order is a prefix of the full one.
+TEST(TopKTest, NaNRanksLastInPositionOrder) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> scores = {nan, 1.0f, -kInf, -nan, 2.0f, nan, 0.0f};
+  const std::vector<int64_t> full = {4, 1, 6, 2, 0, 3, 5};
+  EXPECT_EQ(TopK(scores, 7), full);
+  EXPECT_EQ(TopK(scores, 10), full);
+  for (int64_t k = 0; k < 7; ++k) {
+    EXPECT_EQ(TopK(scores, k),
+              std::vector<int64_t>(full.begin(), full.begin() + k))
+        << "k=" << k;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/delrec.h"
@@ -208,11 +209,57 @@ TEST_F(ParallelDeterminismTest, BatchInferenceMatchesSerialLoop) {
     reference.push_back(sr_model_->ScoreCandidates(histories[i],
                                                    candidates[i]));
   }
+  std::vector<std::vector<float>> all_items;
+  for (const std::vector<int64_t>& history : histories) {
+    all_items.push_back(sr_model_->ScoreAllItems(history));
+  }
   for (int threads : kThreadCounts) {
     util::ScopedParallelism parallel(threads, /*min_work_per_dispatch=*/1);
     EXPECT_EQ(sr_model_->ScoreCandidatesBatch(histories, candidates),
               reference)
         << "threads=" << threads;
+    EXPECT_EQ(sr_model_->ScoreAllItemsBatch(histories), all_items)
+        << "threads=" << threads;
+  }
+}
+
+// The SR inference forwards read only their weights: four threads scoring
+// one SASRec and one GRU4Rec through ScoreAllItemsBatch at once get the
+// rows a lone thread gets (and share no mutable state, which TSan checks
+// under `ctest -L concurrency`).
+TEST_F(ParallelDeterminismTest, ConcurrentBatchedSrScoringMatchesOneThread) {
+  const auto gru = srmodels::MakeBackbone(srmodels::Backbone::kGru4Rec,
+                                          workbench_->num_items(), 10, 9);
+  const auto& test = workbench_->splits().test;
+  std::vector<std::vector<int64_t>> histories;
+  for (size_t i = 0; i < std::min<size_t>(16, test.size()); ++i) {
+    histories.push_back(test[i].history);
+  }
+  const std::vector<const srmodels::SequentialRecommender*> models = {
+      sr_model_, gru.get()};
+  std::vector<std::vector<std::vector<float>>> reference;
+  for (const auto* model : models) {
+    reference.push_back(model->ScoreAllItemsBatch(histories));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<std::vector<float>>>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (const auto* model : models) {
+          seen[t].push_back(model->ScoreAllItemsBatch(histories));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t].size(), 3 * models.size());
+    for (size_t i = 0; i < seen[t].size(); ++i) {
+      EXPECT_EQ(seen[t][i], reference[i % models.size()])
+          << "thread " << t << " call " << i;
+    }
   }
 }
 

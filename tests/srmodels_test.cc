@@ -11,6 +11,7 @@
 #include "data/split.h"
 #include "eval/protocol.h"
 #include "nn/module.h"
+#include "nn/tensor.h"
 #include "srmodels/bert4rec.h"
 #include "srmodels/caser.h"
 #include "srmodels/factory.h"
@@ -245,11 +246,12 @@ TEST_F(SrModelsTest, FactoryBlobRoundTripIsBitIdentical) {
   }
 }
 
-// GRU4Rec overrides ScoreCandidatesBatch with a lockstep (B, D) recurrence
-// over equal-length groups — the two-tier retriever's fast path. The
-// interface contract (recommender.h) still demands every row bit-identical
-// to the per-sequence path, at every thread count, including ragged batches
-// that exercise the length grouping.
+// GRU4Rec's ScoreCandidatesBatch gathers from its ScoreAllItemsBatch, a
+// ragged lockstep (B, D) recurrence in which each step runs over the rows
+// still active — the two-tier retriever's fast path. The interface contract
+// (recommender.h) still demands every row bit-identical to the
+// per-sequence path, at every thread count, including ragged batches that
+// leave rows behind at different steps.
 TEST_F(SrModelsTest, Gru4RecBatchedSweepIsBitIdenticalToPerRow) {
   Gru4Rec model(dataset_->catalog.size(), 16, /*seed=*/13);
   TrainConfig config = BackboneTrainConfig(Backbone::kGru4Rec);
@@ -275,6 +277,85 @@ TEST_F(SrModelsTest, Gru4RecBatchedSweepIsBitIdenticalToPerRow) {
     util::ScopedParallelism parallel(threads, /*min_work_per_dispatch=*/1);
     EXPECT_EQ(model.ScoreCandidatesBatch(histories, candidates), reference)
         << "threads=" << threads;
+  }
+}
+
+// Bitwise, so ±0 and NaN payloads count (EXPECT_EQ on floats would not).
+void ExpectBitIdentical(const std::vector<float>& actual,
+                        const std::vector<float>& expected,
+                        const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        actual.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+// The tape-free forwards (DESIGN.md §17) against the autograd logits they
+// replace at inference: every row of ScoreAllItemsBatch equals
+// TrainingLogits(h, 0, rng) bit for bit, for any batch composition and
+// thread count — histories of every length from 1 to past SASRec's window,
+// repeated items, a permuted batch and batches of one.
+TEST_F(SrModelsTest, ScoreAllItemsBatchIsBitIdenticalToTrainingLogits) {
+  constexpr int64_t kMaxLength = 10;
+  SasRec sasrec(dataset_->catalog.size(), 32, kMaxLength, /*num_blocks=*/2,
+                /*num_heads=*/2, /*seed=*/17);
+  Gru4Rec gru(dataset_->catalog.size(), 24, /*seed=*/19);
+  for (SequentialRecommender* model :
+       std::vector<SequentialRecommender*>{&sasrec, &gru}) {
+    TrainConfig config = FastConfig();
+    config.epochs = 1;
+    ASSERT_TRUE(model->Train(splits_->train, config).ok());
+  }
+
+  std::vector<std::vector<int64_t>> histories;
+  for (int64_t length = 1; length <= kMaxLength + 3; ++length) {
+    const std::vector<int64_t>& source =
+        splits_->test[length % splits_->test.size()].history;
+    std::vector<int64_t> history;
+    for (int64_t i = 0; i < length; ++i) {
+      history.push_back(source[i % source.size()]);
+    }
+    histories.push_back(std::move(history));
+  }
+  histories.push_back(std::vector<int64_t>(7, 3));  // One item, repeated.
+  histories.push_back({5, 9, 5, 9, 5});
+  histories.push_back({0});
+
+  for (const SequentialRecommender* model :
+       std::vector<const SequentialRecommender*>{&sasrec, &gru}) {
+    std::vector<std::vector<float>> reference;
+    {
+      nn::NoGradGuard no_grad;
+      util::Rng rng(1);
+      for (const auto& history : histories) {
+        reference.push_back(model->TrainingLogits(history, 0.0f, rng).data());
+      }
+    }
+    std::vector<size_t> permutation(histories.size());
+    for (size_t i = 0; i < permutation.size(); ++i) {
+      permutation[i] = (i * 7 + 3) % permutation.size();
+    }
+    std::vector<std::vector<int64_t>> permuted;
+    for (size_t i : permutation) permuted.push_back(histories[i]);
+    for (int threads : {1, 2, 4, 7}) {
+      util::ScopedParallelism parallel(threads, /*min_work_per_dispatch=*/1);
+      const std::string tag =
+          model->name() + " threads=" + std::to_string(threads);
+      const auto batch = model->ScoreAllItemsBatch(histories);
+      ASSERT_EQ(batch.size(), histories.size());
+      const auto shuffled = model->ScoreAllItemsBatch(permuted);
+      for (size_t i = 0; i < histories.size(); ++i) {
+        const std::string row = tag + " row=" + std::to_string(i);
+        ExpectBitIdentical(batch[i], reference[i], row);
+        ExpectBitIdentical(shuffled[i], reference[permutation[i]],
+                           row + " permuted");
+        ExpectBitIdentical(model->ScoreAllItemsBatch({histories[i]})[0],
+                           reference[i], row + " alone");
+        ExpectBitIdentical(model->ScoreAllItems(histories[i]), reference[i],
+                           row + " ScoreAllItems");
+      }
+    }
   }
 }
 

@@ -235,6 +235,47 @@ TEST(TwoTierTest, ScoreBatchRowsMatchSingleScores) {
   }
 }
 
+/// FakeRetriever that records its batched catalog calls.
+class CountingRetriever : public FakeRetriever {
+ public:
+  std::vector<std::vector<float>> ScoreCatalogBatch(
+      const std::vector<std::vector<int64_t>>& histories) const override {
+    ++batch_calls;
+    batch_histories += static_cast<int64_t>(histories.size());
+    return FakeRetriever::ScoreCatalogBatch(histories);
+  }
+
+  mutable int64_t batch_calls = 0;
+  mutable int64_t batch_histories = 0;
+};
+
+// A batch mixing full-catalog and pooled requests: every row equals the
+// per-request Score, and all full-catalog requests share one
+// ScoreCatalogBatch call.
+TEST(TwoTierTest, CatalogRequestsShareOneBatchedRetrieval) {
+  auto retriever = std::make_shared<CountingRetriever>();
+  serve::TwoTierOptions options;
+  options.rerank_top_h = 4;
+  auto two_tier = serve::MakeTwoTierScorer(
+      retriever, std::make_shared<FakeReranker>(), options);
+  ASSERT_TRUE(two_tier.ok()) << two_tier.status().ToString();
+
+  std::vector<serve::ScoreRequest> requests;
+  for (uint64_t seed = 0; seed < 7; ++seed) {
+    serve::ScoreRequest request = PoolRequest(seed);
+    if (seed % 2 == 0) request.candidates.clear();  // Full catalog.
+    requests.push_back(std::move(request));
+  }
+  const std::vector<std::vector<float>> batched =
+      two_tier.value()->ScoreBatch(requests);
+  EXPECT_EQ(retriever->batch_calls, 1);
+  EXPECT_EQ(retriever->batch_histories, 4);
+  ASSERT_EQ(batched.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(batched[i], two_tier.value()->Score(requests[i])) << "row " << i;
+  }
+}
+
 TEST(TwoTierTest, CatalogRequestsUseRetrieverCatalogPath) {
   const auto two_tier = MakeTwoTier(5);
   const std::vector<int64_t> history = {1, 2, 3};
