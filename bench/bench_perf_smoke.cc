@@ -1,17 +1,25 @@
 // Perf smoke bench (ctest -L perf_smoke): emits the machine-readable RQ5
 // record BENCH_rq5.json and gates it against the committed baseline.
 //
-// Three sections, all sized to finish in seconds:
+// Four sections, all sized to finish in seconds:
 //  1. Op-level GEMM GFLOP/s for the blocked kernels on repo-model shapes,
 //     plus blocked-vs-reference speedups on the canonical 256³ shape and on
-//     attention's narrow head_dim-8 shapes, with hard ≥2× floors on 256³
-//     and narrow GemmNN where the GEMM has SIMD tiles.
-//  2. A tiny end-to-end train/eval through DatasetHarness, which records
+//     the narrow head_dim-8 shapes of training's autograd attention, with
+//     hard ≥2× floors on 256³ and narrow GemmNN where the GEMM has SIMD
+//     tiles.
+//  2. The served teacher's fused attention head (nn::AttendHead) against the
+//     GEMM and softmax sequence it replaced, timed interleaved, with a hard
+//     ≥1.3× floor on the int8 shape where vecmath dispatches AVX-512 or
+//     AVX2.
+//  3. A tiny end-to-end train/eval through DatasetHarness, which records
 //     stage1_distill_s / stage2_finetune_s / eval_s via the harness hooks.
-//  3. Warm-pool allocation counts for a repeated fixed eval workload —
+//  4. Warm-pool allocation counts for a repeated fixed eval workload —
 //     deterministic at one thread, so they gate hard in the baseline
 //     comparison (allocation regressions fail CI even on noisy machines).
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +27,8 @@
 
 #include "bench/harness.h"
 #include "nn/gemm.h"
+#include "nn/ops.h"
+#include "nn/vecmath.h"
 #include "util/buffer_pool.h"
 #include "util/check.h"
 #include "util/json.h"
@@ -123,10 +133,11 @@ void BenchGemmShapes(bench::BenchRecorder& recorder) {
   }
 }
 
-/// Attention's per-head GEMMs at head_dim 8, as a served teacher issues
-/// them for a 69-row suffix over a 98-column context: A·V (NN, n = 8) has
-/// no full 16-column panel, so all its tiles run on the zero-padded edge
-/// panel; Q·Kᵀ (NT, n = 98) ends in a 2-column one.
+/// Attention's per-head GEMMs at head_dim 8, at the served teacher's
+/// 69-row suffix over a 98-column context; the serve path now runs
+/// nn::AttendHead instead, so these are training's autograd attention
+/// shapes. A·V (NN, n = 8) has no full 16-column panel, so all its tiles run
+/// on the zero-padded edge panel; Q·Kᵀ (NT, n = 98) ends in a 2-column one.
 void BenchAttentionGemms(bench::BenchRecorder& recorder) {
   util::Rng rng(43);
   const struct {
@@ -168,6 +179,161 @@ void BenchAttentionGemms(bench::BenchRecorder& recorder) {
       DELREC_CHECK_GE(speedup, 2.0)
           << "narrow GemmNN speedup below floor with kernel "
           << nn::GemmKernelConfig();
+    }
+  }
+}
+
+/// One head of the served teacher's attention at head_dim 8 (TinyLm XL's 4
+/// heads, model_dim 32): `rows` queries over `cached` prefix keys followed
+/// by the span's own `rows`, each at the model's row stride.
+struct AttentionCase {
+  const char* name;
+  nn::AttentionSoftmax softmax;
+  int64_t rows, cached;
+};
+
+/// The sequence nn::AttendHead replaced in TinyLmBlock::AttendSpans, on the
+/// GEMM tiles and softmax body of one width: copy the head out, GemmNT, the
+/// softmax, GemmNN, copy the result back.
+void AttendBySequence(const nn::AttentionHead& h, nn::GemmTileWidth gemm,
+                      nn::VecMathBody softmax_body, std::vector<float>& work) {
+  const int64_t keys = h.cached + h.own;
+  const int64_t hd = h.head_dim;
+  work.resize(static_cast<size_t>(2 * h.rows * hd + 2 * keys * hd +
+                                  h.rows * keys));
+  float* qh = work.data();
+  float* kh = qh + h.rows * hd;
+  float* vh = kh + keys * hd;
+  float* logits = vh + keys * hd;
+  float* head_out = logits + h.rows * keys;
+  for (int64_t i = 0; i < h.rows; ++i) {
+    std::copy_n(h.queries + i * h.stride, hd, qh + i * hd);
+  }
+  for (int64_t j = 0; j < keys; ++j) {
+    const bool cached = j < h.cached;
+    const int64_t row = (cached ? j : j - h.cached) * h.stride;
+    std::copy_n((cached ? h.cached_keys : h.keys) + row, hd, kh + j * hd);
+    std::copy_n((cached ? h.cached_values : h.values) + row, hd, vh + j * hd);
+  }
+  nn::GemmNTWith(gemm, qh, kh, logits, h.rows, keys, hd,
+                 /*accumulate=*/false);
+  if (h.softmax == nn::AttentionSoftmax::kApprox) {
+    nn::ApproxSoftmaxRowsWith(softmax_body, logits, h.rows, keys, h.scale);
+  } else {
+    for (int64_t i = 0; i < h.rows * keys; ++i) logits[i] *= h.scale;
+    nn::SoftmaxRows(logits, h.rows, keys, logits);
+  }
+  nn::GemmNNWith(gemm, logits, vh, head_out, h.rows, hd, keys,
+                 /*accumulate=*/false);
+  for (int64_t i = 0; i < h.rows; ++i) {
+    std::copy_n(head_out + i * hd, hd, h.out + i * h.stride);
+  }
+}
+
+/// The fused head against the sequence at each body width this host runs,
+/// after checking that the two agree bitwise: 15 alternating rounds of 200
+/// calls each, medians. The widest width is the one the process
+/// dispatches, so it is recorded as `<case>_us` (the fused head per call)
+/// and `<case>_speedup_vs_sequence`; narrower widths are printed only.
+void BenchAttentionHead(bench::BenchRecorder& recorder) {
+  constexpr int64_t kHeadDim = 8;
+  constexpr int64_t kStride = 32;
+  const AttentionCase kCases[] = {
+      // two_tier_swap's int8 teacher: 69 suffix rows over 29 cached keys.
+      {"attn_int8_69x98x8", nn::AttentionSoftmax::kApprox, 69, 29},
+      // short_burst's fp32 teacher: 11 suffix rows over 17 cached keys.
+      {"attn_fp32_11x28x8", nn::AttentionSoftmax::kStd, 11, 17},
+  };
+  const struct {
+    const char* label;
+    nn::VecMathBody body;
+    nn::GemmTileWidth gemm;
+  } kWidths[] = {
+      {"w16", nn::VecMathBody::kAvx512, nn::GemmTileWidth::k16},
+      {"w8", nn::VecMathBody::kAvx2, nn::GemmTileWidth::k8},
+      {"w4", nn::VecMathBody::kVec4, nn::GemmTileWidth::k4},
+  };
+  util::Rng rng(47);
+  for (const AttentionCase& c : kCases) {
+    const auto random_rows = [&](int64_t rows) {
+      std::vector<float> x(static_cast<size_t>(rows * kStride));
+      for (float& v : x) v = rng.UniformFloat(-2.0f, 2.0f);
+      return x;
+    };
+    const std::vector<float> q = random_rows(c.rows), k = random_rows(c.rows),
+                             v = random_rows(c.rows),
+                             ck = random_rows(c.cached),
+                             cv = random_rows(c.cached);
+    std::vector<float> fused_out(q.size()), sequence_out(q.size()), work;
+    std::vector<float> scratch(static_cast<size_t>(
+        nn::AttendHeadScratch(c.cached + c.rows, kHeadDim)));
+    nn::AttentionHead fused;
+    fused.queries = q.data();
+    fused.rows = c.rows;
+    fused.cached_keys = ck.data();
+    fused.cached_values = cv.data();
+    fused.cached = c.cached;
+    fused.keys = k.data();
+    fused.values = v.data();
+    fused.own = c.rows;
+    fused.head_dim = kHeadDim;
+    fused.stride = kStride;
+    fused.scale = 1.0f / std::sqrt(static_cast<float>(kHeadDim));
+    fused.softmax = c.softmax;
+    fused.out = fused_out.data();
+    nn::AttentionHead sequence = fused;
+    sequence.out = sequence_out.data();
+    bool dispatched = true;
+    for (const auto& width : kWidths) {
+      if (!nn::VecMathBodySupported(width.body) ||
+          !nn::GemmTileWidthSupported(width.gemm)) {
+        continue;
+      }
+      const auto run_fused = [&] {
+        nn::AttendHeadWith(width.body, fused, scratch.data());
+      };
+      const auto run_sequence = [&] {
+        AttendBySequence(sequence, width.gemm, width.body, work);
+      };
+      run_fused();
+      run_sequence();
+      DELREC_CHECK(std::memcmp(fused_out.data(), sequence_out.data(),
+                               fused_out.size() * sizeof(float)) == 0)
+          << c.name << " " << width.label << ": fused head and sequence differ";
+      std::vector<double> fused_us, sequence_us;
+      for (int round = 0; round < 15; ++round) {
+        for (int side = 0; side < 2; ++side) {
+          const bool fused_side = (side == 0) == (round % 2 == 0);
+          util::WallTimer timer;
+          for (int rep = 0; rep < 200; ++rep) {
+            fused_side ? run_fused() : run_sequence();
+          }
+          (fused_side ? fused_us : sequence_us)
+              .push_back(timer.ElapsedSeconds() * 1e6 / 200);
+        }
+      }
+      std::sort(fused_us.begin(), fused_us.end());
+      std::sort(sequence_us.begin(), sequence_us.end());
+      const double fused_median = fused_us[fused_us.size() / 2];
+      const double speedup = sequence_us[sequence_us.size() / 2] / fused_median;
+      std::printf("[perf_smoke] %s %s: fused %.2f us, sequence %.2f us, "
+                  "speedup %.2fx\n",
+                  c.name, width.label, fused_median,
+                  sequence_us[sequence_us.size() / 2], speedup);
+      if (!dispatched) continue;
+      dispatched = false;
+      const std::string name = c.name;
+      recorder.Record(name + "_us", fused_median, "us",
+                      bench::MetricKind::kTime);
+      recorder.Record(name + "_speedup_vs_sequence", speedup, "x",
+                      bench::MetricKind::kRatio);
+      if (c.softmax == nn::AttentionSoftmax::kApprox &&
+          width.body != nn::VecMathBody::kVec4) {
+        // Measured 1.84–1.88× with the 16-lane body.
+        DELREC_CHECK_GE(speedup, 1.3)
+            << "fused int8 attention head below its floor over the "
+               "sequence at " << width.label;
+      }
     }
   }
 }
@@ -256,6 +422,7 @@ int main() {
   bench::BenchRecorder& recorder = bench::BenchRecorder::Global();
   BenchGemmShapes(recorder);
   BenchAttentionGemms(recorder);
+  BenchAttentionHead(recorder);
   BenchTrainEval(recorder);
   const int rc = bench::FinishBench();
   const std::string path = bench::BenchRecorder::OutputPath("rq5");

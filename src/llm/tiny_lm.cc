@@ -165,94 +165,63 @@ void TinyLmBlock::AttendSpans(const float* q, const float* k,
   // the intra-batch parallelism a one-at-a-time forward cannot have. Each
   // span's arithmetic is unchanged and writes only its own rows of
   // `attended`, so results stay bit-identical at every thread count;
-  // scratch is carved out up front because the arena is not thread-safe,
-  // and ParallelFor degrades to serial inside pool workers, so the GEMMs
-  // below never nest a dispatch.
+  // scratch is carved out up front because the arena is not thread-safe.
   //
-  // Three shapes share this loop. Legacy (no boundary): one t×t pass.
-  // Boundary in-span (span.prefix > 0): a p×p pass for the frozen head and
-  // an s×t pass for the suffix — rows of the same GEMMs the legacy pass
-  // runs, so unchanged rows stay bit-identical. Cached (prefix_kv): every
-  // span is a suffix; its keys/values are the cached prefix rows followed
-  // by the span's fresh rows, which is the identical s×(P+s) computation
-  // the boundary pass runs for its suffix rows.
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // Softmax of the scaled logits, in place. An int8 block takes the
-  // vectorized kernel (nn/vecmath.h), which folds the scale in; the fp32
-  // path scales as nn::MulScalar does and runs nn::Softmax's own kernel.
-  const auto softmax = [this, scale](float* rows, int64_t n, int64_t c) {
-    if (quant_) {
-      nn::ApproxSoftmaxRows(rows, n, c, scale);
-      return;
-    }
-    for (int64_t i = 0; i < n * c; ++i) rows[i] *= scale;
-    nn::SoftmaxRows(rows, n, c, rows);
-  };
-  const int64_t cached = prefix_kv != nullptr ? prefix_kv->length : 0;
+  // Each head is one nn::AttendHead call per shape, which reads the head's
+  // columns of q/k/v in place and returns the bits of Forward()'s GemmNT,
+  // softmax and GemmNN. Three shapes share this loop. Legacy (no boundary):
+  // t queries over t keys. Boundary in-span (span.prefix > 0): p over p for
+  // the frozen head, then the t − p suffix rows over all t — rows of the
+  // legacy computation, so unchanged rows stay bit-identical. Cached
+  // (prefix_kv): every span is a suffix; its t rows attend over the cached
+  // prefix rows followed by the span's own, the same keys in the same order
+  // as the boundary pass's suffix rows.
+  //
+  // An int8 block takes the approximate softmax (nn/vecmath.h), which folds
+  // the scale in; the fp32 path scales as nn::MulScalar does and runs
+  // nn::Softmax's arithmetic.
+  nn::AttentionHead base;
+  base.head_dim = head_dim_;
+  base.stride = d;
+  base.scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  base.softmax =
+      quant_ ? nn::AttentionSoftmax::kApprox : nn::AttentionSoftmax::kStd;
+  base.cached = prefix_kv != nullptr ? prefix_kv->length : 0;
   std::vector<float*> scratch(spans.size());
   for (size_t s = 0; s < spans.size(); ++s) {
-    const int64_t t = spans[s].length;
-    const int64_t ctx = cached + t;
-    // q + head_out over the span's rows, k + v over the full context, and
-    // the span's attention logits (p·p + s·ctx ≤ t·ctx cells).
-    scratch[s] = arena.Alloc(2 * t * head_dim_ + 2 * ctx * head_dim_ +
-                             t * ctx);
+    scratch[s] = arena.Alloc(
+        nn::AttendHeadScratch(base.cached + spans[s].length, head_dim_));
   }
   util::ParallelFor(
       static_cast<int64_t>(spans.size()),
       [&](int64_t begin, int64_t end, int) {
         for (int64_t s = begin; s < end; ++s) {
           const SequenceSpan& span = spans[s];
-          const int64_t t = span.length;
-          const int64_t ctx = cached + t;
-          const int64_t p = cached > 0 ? int64_t{0} : span.prefix;
-          const int64_t suffix = t - p;
-          float* qh = scratch[s];
-          float* head_out = qh + t * head_dim_;
-          float* kh = head_out + t * head_dim_;
-          float* vh = kh + ctx * head_dim_;
-          float* logits = vh + ctx * head_dim_;
+          const int64_t p = base.cached > 0 ? int64_t{0} : span.prefix;
           for (int64_t h = 0; h < num_heads_; ++h) {
-            for (int64_t i = 0; i < cached; ++i) {
-              const float* krow = prefix_kv->keys + i * d + h * head_dim_;
-              const float* vrow = prefix_kv->values + i * d + h * head_dim_;
-              std::copy(krow, krow + head_dim_, kh + i * head_dim_);
-              std::copy(vrow, vrow + head_dim_, vh + i * head_dim_);
+            const int64_t offset = span.begin * d + h * head_dim_;
+            nn::AttentionHead head = base;
+            if (prefix_kv != nullptr) {
+              head.cached_keys = prefix_kv->keys + h * head_dim_;
+              head.cached_values = prefix_kv->values + h * head_dim_;
             }
-            for (int64_t i = 0; i < t; ++i) {
-              const float* qrow = q + (span.begin + i) * d + h * head_dim_;
-              const float* krow = k + (span.begin + i) * d + h * head_dim_;
-              const float* vrow =
-                  vproj + (span.begin + i) * d + h * head_dim_;
-              std::copy(qrow, qrow + head_dim_, qh + i * head_dim_);
-              std::copy(krow, krow + head_dim_,
-                        kh + (cached + i) * head_dim_);
-              std::copy(vrow, vrow + head_dim_,
-                        vh + (cached + i) * head_dim_);
-            }
+            head.queries = q + offset;
+            head.keys = k + offset;
+            head.values = vproj + offset;
+            head.out = attended + offset;
             if (p > 0) {
               // Frozen head: rows [0, p) attend among themselves.
-              nn::GemmNT(qh, kh, logits, p, p, head_dim_,
-                         /*accumulate=*/false);
-              softmax(logits, p, p);
-              nn::GemmNN(logits, vh, head_out, p, head_dim_, p,
-                         /*accumulate=*/false);
+              head.rows = p;
+              head.own = p;
+              nn::AttendHead(head, scratch[s]);
             }
-            if (suffix > 0) {
-              // Suffix rows attend over the full context (prefix keys
-              // first — the cached path reproduces this column order).
-              float* slogits = logits + p * p;
-              nn::GemmNT(qh + p * head_dim_, kh, slogits, suffix, ctx,
-                         head_dim_, /*accumulate=*/false);
-              softmax(slogits, suffix, ctx);
-              nn::GemmNN(slogits, vh, head_out + p * head_dim_, suffix,
-                         head_dim_, ctx, /*accumulate=*/false);
-            }
-            for (int64_t i = 0; i < t; ++i) {
-              std::copy(head_out + i * head_dim_,
-                        head_out + (i + 1) * head_dim_,
-                        attended + (span.begin + i) * d + h * head_dim_);
-            }
+            // Suffix rows attend over the full context (prefix keys first —
+            // the cached path reproduces this column order).
+            head.queries += p * d;
+            head.out += p * d;
+            head.rows = span.length - p;
+            head.own = span.length;
+            if (head.rows > 0) nn::AttendHead(head, scratch[s]);
           }
         }
       });

@@ -127,8 +127,9 @@ class TinyLmBlock : public nn::Module {
   /// into their base matrices and quantizes all six dense projections
   /// per-output-channel. Idempotent; after this, ForwardBatchInference
   /// routes its dense GEMMs through nn::Int8Gemm and its attention softmax
-  /// and GELU through the nn/vecmath.h approximations, while LayerNorm and
-  /// attention stay fp32. Forward() keeps reading the fp32 parameters.
+  /// (inside nn::AttendHead) and GELU through the nn/vecmath.h
+  /// approximations, while LayerNorm and attention stay fp32. Forward()
+  /// keeps reading the fp32 parameters.
   void QuantizeForInference();
 
   /// Bytes of weights the batched inference path reads: fp32 LN affines and
@@ -162,10 +163,12 @@ class TinyLmBlock : public nn::Module {
 
   /// The block-diagonal per-span attention stage: consumes the stacked
   /// q/k/v projections, writes the concatenated head outputs to `attended`.
-  /// Arithmetic is identical to the historical inline loop (DESIGN.md §11)
-  /// on the fp32 and int8 weights alike. Honors each span's frozen-prefix
-  /// boundary, and with `prefix_kv` splices the shared cached K/V rows
-  /// ahead of every span's fresh rows.
+  /// One nn::AttendHead call per span, head and shape (DESIGN.md §18),
+  /// reading the projections in place, with the bits of Forward()'s
+  /// GemmNT, softmax and GemmNN on the fp32 weights (the int8 weights take
+  /// the approximate softmax). Honors each span's frozen-prefix boundary,
+  /// and with `prefix_kv` attends over the shared cached K/V rows ahead of
+  /// every span's fresh rows.
   void AttendSpans(const float* q, const float* k, const float* vproj,
                    const std::vector<SequenceSpan>& spans, float* attended,
                    util::ScopedArena& arena,

@@ -68,14 +68,23 @@ constexpr float kTanhClamp = 4.97f;
 inline float MaxLane(float a, float b) { return a > b ? a : b; }
 inline float MinLane(float a, float b) { return a < b ? a : b; }
 
-// Fixed pairwise tree over the 16 lanes: lane l combines with lane l + 8,
-// then l + 4, l + 2 and l + 1, the lower lane always the first operand.
-template <typename Op>
-float ReduceLanes(float* lanes, Op op) {
+// MaxLane and + as in-place lane ops, on floats or vectors alike. `b < a`
+// is `a > b`, spelled so that GCC emits the max instruction instead of a
+// compare and a blend.
+constexpr auto kMaxInPlace = [](auto& a, const auto& b) { a = b < a ? a : b; };
+constexpr auto kAddInPlace = [](auto& a, const auto& b) { a += b; };
+
+// Fixed pairwise tree over the 16 lanes, into lane 0: lane l combines with
+// lane l + 8, then l + 4, l + 2 and l + 1, the lower lane always the first
+// operand. The lanes are floats in the scalar twin and vectors (one lane per
+// row) in the attention head.
+template <typename T, typename Op>
+[[gnu::always_inline]] inline void FoldTree(T (&lanes)[kLanes], Op op) {
+#pragma GCC unroll 4
   for (int width = kLanes / 2; width >= 1; width /= 2) {
-    for (int l = 0; l < width; ++l) lanes[l] = op(lanes[l], lanes[l + width]);
+#pragma GCC unroll 8
+    for (int l = 0; l < width; ++l) op(lanes[l], lanes[l + width]);
   }
-  return lanes[0];
 }
 
 // One body's two lane passes over a row: the tree-reduced lane max, and the
@@ -144,7 +153,8 @@ float RowMaxScalar(const float* row, int64_t cols) {
     const float v = j < cols ? row[j] : -kInf;
     lanes[j % kLanes] = MaxLane(lanes[j % kLanes], v);
   }
-  return ReduceLanes(lanes, MaxLane);
+  FoldTree(lanes, kMaxInPlace);
+  return lanes[0];
 }
 
 float RowExpSumScalar(float* row, int64_t cols, float scale, float shift) {
@@ -154,7 +164,8 @@ float RowExpSumScalar(float* row, int64_t cols, float scale, float shift) {
     if (j < cols) row[j] = e;
     lanes[j % kLanes] += e;
   }
-  return ReduceLanes(lanes, [](float a, float b) { return a + b; });
+  FoldTree(lanes, kAddInPlace);
+  return lanes[0];
 }
 
 // Rounds exactly as GeluRowsAvx2's lanes do: the same fused multiply-adds,
@@ -191,13 +202,7 @@ struct VectorOf {
   using type [[gnu::vector_size(W * sizeof(T))]] = T;
 };
 
-// MaxLane and + as in-place lane ops, on floats or vectors alike. `b < a`
-// is `a > b`, spelled so that GCC emits the max instruction instead of a
-// compare and a blend.
-constexpr auto kMaxInPlace = [](auto& a, const auto& b) { a = b < a ? a : b; };
-constexpr auto kAddInPlace = [](auto& a, const auto& b) { a += b; };
-
-// ReduceLanes' tree on one vector: halve it with __builtin_shufflevector,
+// FoldTree on one vector: halve it with __builtin_shufflevector,
 // the lower half always the first operand, down to one lane.
 template <int W, typename Op>
 [[gnu::always_inline]] inline float HalveLanes(
@@ -224,7 +229,7 @@ using Lanes = typename VectorOf<float, W>::type[kLanes / W];
 // Lanes array is a constant and the array lives in registers; GCC keeps an
 // array indexed at run time in memory.
 
-// ReduceLanes on the 16 lanes as kLanes/W vectors: lane l and lane
+// FoldTree on the 16 lanes as kLanes/W vectors: lane l and lane
 // l + width sit in different vectors until width < W, then in one.
 template <int W, typename Op>
 [[gnu::always_inline]] inline float ReduceVectorLanes(Lanes<W>& v, Op op) {
@@ -236,10 +241,11 @@ template <int W, typename Op>
   return HalveLanes<W>(v[0], op);
 }
 
-// x ← ExpScalar(x·scale − shift), lane for lane.
-template <int W>
+// x ← ExpScalar(x·scale − shift), lane for lane; `shift` is one float for
+// every lane or a vector of one per lane.
+template <int W, typename Shift>
 [[gnu::always_inline]] inline void ScaledExpInPlace(
-    typename VectorOf<float, W>::type& x, float scale, float shift) {
+    typename VectorOf<float, W>::type& x, float scale, const Shift& shift) {
   using V = typename VectorOf<float, W>::type;
   using U = typename VectorOf<uint32_t, W>::type;
   x = x * scale - shift;
@@ -331,6 +337,214 @@ template <int W>
   return ReduceVectorLanes<W>(s, kAddInPlace);
 }
 
+// ---- Attention: one head, a tile of W query rows in the vector lanes ----
+// Lane l of every vector below belongs to query row i0 + l, and no step
+// reads across lanes, so each row runs its own scalar sequence: GemmNTRef's
+// dots, the softmax, GemmNNRef's sums. A tile's logits are stored as columns
+// of W lanes, one per key, in scratch; the 16 partials that RowMax and
+// RowExpSum keep per row become 16 vectors, column j feeding partial
+// j mod 16, and FoldTree runs across them. A partial last tile computes its
+// spare lanes from zero queries, but never calls std::exp for them nor
+// stores them.
+
+// Keys per logits block and value columns per ·V block: one accumulator
+// vector each, held in registers across the inner loop.
+constexpr int kKeyBlock = 8;
+constexpr int kValueBlock = 8;
+
+// Row j of a head's keys or values: the cached prefix rows, then the
+// sequence's own.
+inline const float* KvRow(const AttentionHead& h, const float* cached_rows,
+                          const float* own_rows, int64_t j) {
+  return j < h.cached ? cached_rows + j * h.stride
+                      : own_rows + (j - h.cached) * h.stride;
+}
+
+// Logit columns [j0, j0 + kKeyBlock): each lane's 0 + q₀k₀ + q₁k₁ + … in
+// ascending p, as GemmNTRef sums it, with kⱼₚ broadcast from the key row in
+// place. Keys past the last one reread it into columns nothing reads as
+// logits; `qt` holds the tile's queries, one vector per p.
+template <int W>
+[[gnu::always_inline]] inline void LogitBlock(const AttentionHead& h,
+                                              const float* qt, int64_t j0,
+                                              float* cols) {
+  using V = typename VectorOf<float, W>::type;
+  const int64_t last = h.cached + h.own - 1;
+  const float* k[kKeyBlock];
+#pragma GCC unroll 8
+  for (int b = 0; b < kKeyBlock; ++b) {
+    k[b] = KvRow(h, h.cached_keys, h.keys, std::min(j0 + b, last));
+  }
+  V s[kKeyBlock] = {};
+  for (int64_t p = 0; p < h.head_dim; ++p) {
+    V q;
+    std::memcpy(&q, qt + p * W, sizeof q);
+#pragma GCC unroll 8
+    for (int b = 0; b < kKeyBlock; ++b) s[b] += q * k[b][p];
+  }
+#pragma GCC unroll 8
+  for (int b = 0; b < kKeyBlock; ++b) {
+    std::memcpy(cols + (j0 + b) * W, &s[b], sizeof s[b]);
+  }
+}
+
+// ExpSumBlock on up to 16 columns, one per partial.
+template <int W>
+[[gnu::always_inline]] inline void ExpSumColumns(
+    float* cols, int64_t n, float scale,
+    const typename VectorOf<float, W>::type& shift,
+    typename VectorOf<float, W>::type (&sums)[kLanes]) {
+  using V = typename VectorOf<float, W>::type;
+#pragma GCC unroll 16
+  for (int b = 0; b < kLanes; ++b) {
+    if (b < n) {
+      V e;
+      std::memcpy(&e, cols + b * W, sizeof e);
+      ScaledExpInPlace<W>(e, scale, shift);
+      sums[b] += e;
+      std::memcpy(cols + b * W, &e, sizeof e);
+    }
+  }
+}
+
+// ApproxSoftmaxRows on the tile's logit columns: leaves their exps in place
+// and 1 / (their sum) in `inv`. The −inf padding columns up to the next
+// multiple of 16 fold into the max exactly as RowMax's tail does (which is
+// not a no-op: it turns a NaN partial into −inf); their exps are +0 for any
+// shift, so the sums skip them.
+template <int W>
+[[gnu::always_inline]] inline void ApproxSoftmaxColumns(
+    float* cols, int64_t keys, float scale,
+    typename VectorOf<float, W>::type& inv) {
+  using V = typename VectorOf<float, W>::type;
+  const int64_t padded = PaddedCols(keys);
+  const V neg_inf = V{} - kInf;
+  for (int64_t j = keys; j < padded; ++j) {
+    std::memcpy(cols + j * W, &neg_inf, sizeof neg_inf);
+  }
+  V part[kLanes];
+#pragma GCC unroll 16
+  for (V& v : part) v = neg_inf;
+  for (int64_t j0 = 0; j0 < padded; j0 += kLanes) {
+#pragma GCC unroll 16
+    for (int b = 0; b < kLanes; ++b) {
+      V x;
+      std::memcpy(&x, cols + (j0 + b) * W, sizeof x);
+      kMaxInPlace(part[b], x);
+    }
+  }
+  FoldTree(part, kMaxInPlace);
+  const V shift = part[0] * scale;
+#pragma GCC unroll 16
+  for (V& v : part) v = V{};
+  const int64_t full = keys - keys % kLanes;
+  for (int64_t j0 = 0; j0 < full; j0 += kLanes) {
+    ExpSumColumns<W>(cols + j0 * W, kLanes, scale, shift, part);
+  }
+  if (full < keys) {
+    ExpSumColumns<W>(cols + full * W, keys - full, scale, shift, part);
+  }
+  FoldTree(part, kAddInPlace);
+  inv = 1.0f / part[0];
+}
+
+// The fp32 path's scale then SoftmaxRows on the tile's logit columns: the
+// max chain from column 0 with std::max's operand order, std::exp(x − max)
+// on the `live` rows' lanes only, the sum in column order. Leaves the exps
+// in place and 1 / (their sum) in `inv`.
+template <int W>
+[[gnu::always_inline]] inline void StdSoftmaxColumns(
+    float* cols, int64_t keys, float scale, int live,
+    typename VectorOf<float, W>::type& inv) {
+  using V = typename VectorOf<float, W>::type;
+  V mx = {};
+  for (int64_t j = 0; j < keys; ++j) {
+    V x;
+    std::memcpy(&x, cols + j * W, sizeof x);
+    x *= scale;
+    std::memcpy(cols + j * W, &x, sizeof x);
+    if (j == 0) mx = x;
+    mx = mx < x ? x : mx;  // std::max(mx, x).
+  }
+  float max_lanes[W];
+  std::memcpy(max_lanes, &mx, sizeof mx);
+  V denom = {};
+  for (int64_t j = 0; j < keys; ++j) {
+    float* col = cols + j * W;
+    for (int l = 0; l < live; ++l) col[l] = std::exp(col[l] - max_lanes[l]);
+    V e;
+    std::memcpy(&e, col, sizeof e);
+    denom += e;
+  }
+  inv = 1.0f / denom;
+}
+
+// GemmNNRef on the weights a = e·inv: each output lane is 0 + a₀v₀ + a₁v₁
+// + … over the keys in ascending order, skipping the lanes whose weight is
+// 0, with vⱼ꜀ broadcast from the value row in place. Columns run
+// kValueBlock at a time; a short last block rereads its last column into
+// accumulators it never stores.
+template <int W>
+[[gnu::always_inline]] inline void WeightedValues(
+    const AttentionHead& h, const float* cols,
+    const typename VectorOf<float, W>::type& inv, int64_t i0, int live) {
+  using V = typename VectorOf<float, W>::type;
+  const int64_t keys = h.cached + h.own;
+  for (int64_t c0 = 0; c0 < h.head_dim; c0 += kValueBlock) {
+    const int64_t n = std::min<int64_t>(kValueBlock, h.head_dim - c0);
+    int64_t col[kValueBlock];
+#pragma GCC unroll 8
+    for (int b = 0; b < kValueBlock; ++b) {
+      col[b] = c0 + std::min<int64_t>(b, n - 1);
+    }
+    V acc[kValueBlock] = {};
+    for (int64_t j = 0; j < keys; ++j) {
+      const float* v = KvRow(h, h.cached_values, h.values, j);
+      V a;
+      std::memcpy(&a, cols + j * W, sizeof a);
+      a *= inv;
+      const auto weighted = a != V{};
+#pragma GCC unroll 8
+      for (int b = 0; b < kValueBlock; ++b) {
+        acc[b] = weighted ? acc[b] + a * v[col[b]] : acc[b];
+      }
+    }
+    float lanes[kValueBlock][W];
+    std::memcpy(lanes, acc, sizeof lanes);
+    for (int l = 0; l < live; ++l) {
+      float* out = h.out + (i0 + l) * h.stride + c0;
+      for (int64_t b = 0; b < n; ++b) out[b] = lanes[b][l];
+    }
+  }
+}
+
+template <int W>
+[[gnu::always_inline]] inline void AttendHeadTiles(const AttentionHead& h,
+                                                   float* scratch) {
+  using V = typename VectorOf<float, W>::type;
+  const int64_t keys = h.cached + h.own;
+  float* qt = scratch;
+  float* cols = scratch + h.head_dim * W;
+  for (int64_t i0 = 0; i0 < h.rows; i0 += W) {
+    const int live = static_cast<int>(std::min<int64_t>(W, h.rows - i0));
+    for (int64_t p = 0; p < h.head_dim; ++p) {
+      for (int l = 0; l < W; ++l) {
+        qt[p * W + l] = l < live ? h.queries[(i0 + l) * h.stride + p] : 0.0f;
+      }
+    }
+    for (int64_t j0 = 0; j0 < keys; j0 += kKeyBlock) {
+      LogitBlock<W>(h, qt, j0, cols);
+    }
+    V inv;
+    if (h.softmax == AttentionSoftmax::kApprox) {
+      ApproxSoftmaxColumns<W>(cols, keys, h.scale, inv);
+    } else {
+      StdSoftmaxColumns<W>(cols, keys, h.scale, live, inv);
+    }
+    WeightedValues<W>(h, cols, inv, i0, live);
+  }
+}
+
 #if DELREC_VECMATH_X86
 
 // Compiles an always-inline body into a function of the named target, so
@@ -386,21 +600,34 @@ bool HasAvx2Fma() {
 struct Bodies {
   RowPasses softmax;
   void (*gelu)(float*, int64_t);
+  void (*attend)(const AttentionHead&, float*);
 };
 
 Bodies BodiesFor(VecMathBody body) {
 #if DELREC_VECMATH_X86
   if (body == VecMathBody::kAvx512) {
-    return {{InAvx512<RowMax<16>>, InAvx512<RowExpSum<16>>}, GeluRowsAvx2};
+    return {{InAvx512<RowMax<16>>, InAvx512<RowExpSum<16>>},
+            GeluRowsAvx2,
+            InAvx512<AttendHeadTiles<16>>};
   }
   if (body == VecMathBody::kAvx2) {
-    return {{InAvx2Fma<RowMax<8>>, InAvx2Fma<RowExpSum<8>>}, GeluRowsAvx2};
+    return {{InAvx2Fma<RowMax<8>>, InAvx2Fma<RowExpSum<8>>},
+            GeluRowsAvx2,
+            InAvx2Fma<AttendHeadTiles<8>>};
   }
 #endif
   if (body == VecMathBody::kVec4) {
-    return {{RowMax<4>, RowExpSum<4>}, GeluRowsScalar};
+    return {{RowMax<4>, RowExpSum<4>}, GeluRowsScalar, AttendHeadTiles<4>};
   }
-  return {{RowMaxScalar, RowExpSumScalar}, GeluRowsScalar};
+  return {{RowMaxScalar, RowExpSumScalar}, GeluRowsScalar, AttendHeadTiles<4>};
+}
+
+void CheckHead(const AttentionHead& head) {
+  DELREC_CHECK_GT(head.rows, 0);
+  DELREC_CHECK_GE(head.cached, 0);
+  DELREC_CHECK_GT(head.cached + head.own, 0);
+  DELREC_CHECK_GT(head.head_dim, 0);
+  DELREC_CHECK_GT(head.scale, 0.0f);
 }
 
 const Bodies& Dispatched() {
@@ -418,6 +645,17 @@ void ApproxSoftmaxRows(float* x, int64_t rows, int64_t cols, float scale) {
 }
 
 void ApproxGelu(float* x, int64_t n) { Dispatched().gelu(x, n); }
+
+void AttendHead(const AttentionHead& head, float* scratch) {
+  CheckHead(head);
+  Dispatched().attend(head, scratch);
+}
+
+int64_t AttendHeadScratch(int64_t keys, int64_t head_dim) {
+  // The widest body's tile: head_dim query vectors, then one logit column
+  // per key, padded to a whole block of 16 columns.
+  return (head_dim + PaddedCols(keys)) * kLanes;
+}
 
 bool VecMathBodySupported(VecMathBody body) {
 #if DELREC_VECMATH_X86
@@ -438,6 +676,13 @@ void ApproxSoftmaxRowsWith(VecMathBody body, float* x, int64_t rows,
 void ApproxGeluWith(VecMathBody body, float* x, int64_t n) {
   DELREC_CHECK(VecMathBodySupported(body));
   BodiesFor(body).gelu(x, n);
+}
+
+void AttendHeadWith(VecMathBody body, const AttentionHead& head,
+                    float* scratch) {
+  DELREC_CHECK(VecMathBodySupported(body));
+  CheckHead(head);
+  BodiesFor(body).attend(head, scratch);
 }
 
 }  // namespace delrec::nn

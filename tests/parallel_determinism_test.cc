@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "bit_identity.h"
 #include "core/delrec.h"
 #include "core/workbench.h"
 #include "data/columnar.h"
@@ -302,8 +303,9 @@ TEST_F(ParallelDeterminismTest, SnapshotBatchScoringBitIdenticalAcrossThreads) {
       data::Example example;
       example.history = request.history;
       example.target = request.candidates[0];
-      EXPECT_EQ(reference.back(),
-                model.ScoreCandidates(example, request.candidates));
+      EXPECT_TRUE(BitIdentical(
+          reference.back(),
+          model.ScoreCandidates(example, request.candidates)));
     }
   }
   for (int threads : kThreadCounts) {
@@ -318,7 +320,7 @@ TEST_F(ParallelDeterminismTest, SnapshotBatchScoringBitIdenticalAcrossThreads) {
           batched.push_back(std::move(scores));
         }
       }
-      EXPECT_EQ(batched, reference)
+      EXPECT_TRUE(BitIdentical(batched, reference))
           << "threads=" << threads << " batch_size=" << batch_size;
     }
   }
@@ -405,7 +407,7 @@ TEST_F(ParallelDeterminismTest,
             const llm::SequenceSpan& span = spans[i - begin];
             const float* rows = cached.data().data() + span.begin * d;
             const std::vector<float> got(rows, rows + span.length * d);
-            EXPECT_EQ(got, reference[i])
+            EXPECT_TRUE(BitIdentical(got, reference[i]))
                 << input.name << " threads=" << threads
                 << " batch_size=" << batch_size << " prompt=" << i;
           }

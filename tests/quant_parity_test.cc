@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bit_identity.h"
 #include "core/checkpoint.h"
 #include "core/delrec.h"
 #include "core/workbench.h"
@@ -280,7 +281,8 @@ TEST_F(QuantParityTest, QuantizedScoreBatchInvariantUnderComposition) {
         batched.push_back(std::move(scores));
       }
     }
-    EXPECT_EQ(batched, reference) << "batch_size " << batch_size;
+    EXPECT_TRUE(BitIdentical(batched, reference))
+        << "batch_size " << batch_size;
   }
 }
 
@@ -300,8 +302,8 @@ TEST_F(QuantParityTest, QuantizedFromCheckpointMatchesFromModel) {
   EXPECT_TRUE(from_disk.value()->quantized());
 
   const std::vector<serve::ScoreRequest> requests = MakeRequests(8);
-  EXPECT_EQ(from_disk.value()->ScoreBatch(requests),
-            from_model->ScoreBatch(requests));
+  EXPECT_TRUE(BitIdentical(from_disk.value()->ScoreBatch(requests),
+                           from_model->ScoreBatch(requests)));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "baselines/zero_shot.h"
+#include "bit_identity.h"
 #include "core/checkpoint.h"
 #include "eval/topk.h"
 #include "core/delrec.h"
@@ -132,10 +133,10 @@ TEST_F(ServeTest, SnapshotMatchesLiveModelBitIdentical) {
     example.history = request.history;
     example.target = request.candidates[0];
     live.push_back(model_->ScoreCandidates(example, request.candidates));
-    EXPECT_EQ(snapshot->Score(request), live.back());
+    EXPECT_TRUE(BitIdentical(snapshot->Score(request), live.back()));
   }
   // The same requests stacked into one batch.
-  EXPECT_EQ(snapshot->ScoreBatch(requests), live);
+  EXPECT_TRUE(BitIdentical(snapshot->ScoreBatch(requests), live));
 }
 
 TEST_F(ServeTest, SnapshotFromCheckpointMatchesFromModel) {
@@ -151,10 +152,11 @@ TEST_F(ServeTest, SnapshotFromCheckpointMatchesFromModel) {
   std::remove(path.c_str());
 
   const std::vector<serve::ScoreRequest> requests = MakeRequests(8);
-  EXPECT_EQ(from_disk.value()->ScoreBatch(requests),
-            from_model->ScoreBatch(requests));
+  EXPECT_TRUE(BitIdentical(from_disk.value()->ScoreBatch(requests),
+                           from_model->ScoreBatch(requests)));
   for (const serve::ScoreRequest& request : requests) {
-    EXPECT_EQ(from_disk.value()->Score(request), from_model->Score(request));
+    EXPECT_TRUE(BitIdentical(from_disk.value()->Score(request),
+                             from_model->Score(request)));
   }
 }
 
@@ -175,7 +177,8 @@ TEST_F(ServeTest, ScoreBatchInvariantUnderBatchComposition) {
         batched.push_back(std::move(scores));
       }
     }
-    EXPECT_EQ(batched, reference) << "batch_size=" << batch_size;
+    EXPECT_TRUE(BitIdentical(batched, reference))
+        << "batch_size=" << batch_size;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bit_identity.h"
 #include "data/dataset.h"
 #include "data/split.h"
 #include "eval/protocol.h"
@@ -280,17 +281,6 @@ TEST_F(SrModelsTest, Gru4RecBatchedSweepIsBitIdenticalToPerRow) {
   }
 }
 
-// Bitwise, so ±0 and NaN payloads count (EXPECT_EQ on floats would not).
-void ExpectBitIdentical(const std::vector<float>& actual,
-                        const std::vector<float>& expected,
-                        const std::string& what) {
-  ASSERT_EQ(actual.size(), expected.size()) << what;
-  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
-                        actual.size() * sizeof(float)),
-            0)
-      << what;
-}
-
 // The tape-free forwards (DESIGN.md §17) against the autograd logits they
 // replace at inference: every row of ScoreAllItemsBatch equals
 // TrainingLogits(h, 0, rng) bit for bit, for any batch composition and
@@ -347,13 +337,15 @@ TEST_F(SrModelsTest, ScoreAllItemsBatchIsBitIdenticalToTrainingLogits) {
       const auto shuffled = model->ScoreAllItemsBatch(permuted);
       for (size_t i = 0; i < histories.size(); ++i) {
         const std::string row = tag + " row=" + std::to_string(i);
-        ExpectBitIdentical(batch[i], reference[i], row);
-        ExpectBitIdentical(shuffled[i], reference[permutation[i]],
-                           row + " permuted");
-        ExpectBitIdentical(model->ScoreAllItemsBatch({histories[i]})[0],
-                           reference[i], row + " alone");
-        ExpectBitIdentical(model->ScoreAllItems(histories[i]), reference[i],
-                           row + " ScoreAllItems");
+        EXPECT_TRUE(BitIdentical(batch[i], reference[i])) << row;
+        EXPECT_TRUE(BitIdentical(shuffled[i], reference[permutation[i]]))
+            << row << " permuted";
+        EXPECT_TRUE(BitIdentical(model->ScoreAllItemsBatch({histories[i]})[0],
+                                 reference[i]))
+            << row << " alone";
+        EXPECT_TRUE(BitIdentical(model->ScoreAllItems(histories[i]),
+                                 reference[i]))
+            << row << " ScoreAllItems";
       }
     }
   }
